@@ -195,14 +195,20 @@ def bessel_j(n: int, tol: float | None, compensated: bool = True) -> BoundedReal
     terms = []
     k = 0
     denom = math.factorial(n)  # k! (n+k)! at k=0
-    term = 1.0 / denom
     sign = 1.0
-    while term > stop or k < 2:
+    while True:
+        try:
+            term = 1.0 / denom
+        except OverflowError:  # denom beyond float range (n >= 169)
+            # correctly rounded, then one step up: an upper bound that never
+            # underflows to 0.0
+            term = math.nextafter(1 / denom, math.inf)
+        if not (term > stop or k < 2):
+            break
         terms.append(sign * term)
         k += 1
         sign = -sign
         denom *= k * (n + k)
-        term = 1.0 / denom
         if k > 400:  # unreachable: terms decay factorially
             raise RuntimeError("J series failed to converge")
     value, rounding = _sum_terms(terms, compensated)

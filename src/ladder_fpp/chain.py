@@ -189,9 +189,7 @@ class FrontDistribution:
 
 
 def _tail_bound(K: int) -> float:
-    j = bessel_j(K + 3, 1e-15) if K + 3 < 170 else None
-    if j is None:
-        return 0.0  # beyond representable factorials the tail underflows
+    j = bessel_j(K + 3, 1e-15)
     d = _denominator(1e-14)
     return 2.0 * (j.value + j.err) / (d.value - d.err)
 

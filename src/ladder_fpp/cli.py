@@ -80,6 +80,8 @@ def cmd_exact(args) -> int:
     bad = set(which) - valid
     if bad:
         raise UsageError(f"unknown quantities: {sorted(bad)} (choose from {sorted(valid)})")
+    if args.n_max < 0:
+        raise UsageError(f"n-max must be >= 0, got {args.n_max}")
     tol = args.tol
     records = []
     meta = {"tol": tol}
@@ -179,20 +181,18 @@ def cmd_sequences(args) -> int:
 
 def _dump_trajectory(traj: simulate.ChainTrajectory, path: str) -> None:
     """CSV t,state,height: the state and height in force from time t onward."""
-    heights = np.cumsum(traj.height_incremented.astype(np.int64))
-    states = traj.states
-    jumps = traj.jump_times
-    n = traj.n_events
+    heights = np.cumsum(traj.height_incremented.astype(np.int64)).tolist()
+    after = traj.states[1:].tolist() + [traj.final_state]
+    jumps = traj.jump_times.tolist()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "state", "height"])
         w.writerow([repr(0.0), traj.initial_state, 0])
-        for i in range(n):
-            after = int(states[i + 1]) if i + 1 < n else traj.final_state
-            w.writerow([repr(float(jumps[i])), after, int(heights[i])])
+        w.writerows(zip(map(repr, jumps), after, heights))
 
 
 def cmd_simulate(args) -> int:
+    jobs = _jobs(args)
     mode = {"front": "front_chain", "fpp": "fpp_dijkstra"}[args.mode]
     initial = {"both": "both_nodes", "single": "single_node"}[args.initial]
     if mode == "front_chain" and args.replicates != 1:
@@ -201,6 +201,8 @@ def cmd_simulate(args) -> int:
         raise UsageError("--mode fpp requires --height")
     if args.dump_trajectory and mode != "front_chain":
         raise UsageError("--dump-trajectory applies to --mode front only")
+    if args.samples < 1:
+        raise UsageError(f"samples must be >= 1, got {args.samples}")
     try:
         cfg = simulate.SimConfig(
             seed=args.seed,
@@ -218,7 +220,7 @@ def cmd_simulate(args) -> int:
     if mode == "fpp_dijkstra":
         meta = {"seed": args.seed, "H": args.height, "replicates": args.replicates,
                 "initial": args.initial}
-        est, _ = simulate.fpp_time_constant(cfg, jobs=args.jobs)
+        est, _ = simulate.fpp_time_constant(cfg, jobs=jobs)
         records.append(OutputRecord("tau", est.mean, est.std_err, "monte_carlo", meta))
     else:
         traj = simulate.simulate_front_chain(cfg)
@@ -258,10 +260,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    jobs = _jobs(args)
     if args.level == "full":
         if args.seed is None:
             raise UsageError("validate full requires --seed")
-        results = checks.run_full_checks(args.seed, jobs=args.jobs)
+        results = checks.run_full_checks(args.seed, jobs=jobs)
     else:
         results = checks.run_quick_checks()
     failures = 0
@@ -280,6 +283,21 @@ class UsageError(Exception):
     pass
 
 
+def _jobs(args) -> int:
+    """Worker processes: --jobs if given, else env LADDER_FPP_JOBS, else 1."""
+    if args.jobs is not None:
+        source, text = "--jobs", str(args.jobs)
+    else:
+        source, text = "LADDER_FPP_JOBS", os.environ.get("LADDER_FPP_JOBS", "1")
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise UsageError(f"{source} must be a positive integer, got {text!r}")
+    return jobs
+
+
 def _positive_float(text: str) -> float:
     x = float(text)
     if not x > 0:
@@ -293,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="First-passage percolation on the ladder: exact constants and simulation.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    default_jobs = int(os.environ.get("LADDER_FPP_JOBS", "1"))
 
     pe = sub.add_parser("exact", help="closed-form constants with error bounds")
     pe.add_argument("--tol", type=_positive_float, default=1e-10)
@@ -321,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--report", choices=["tau", "front-dist", "residual"], default="tau")
     pm.add_argument("--samples", type=int, default=10000,
                     help="sample times for --report residual")
-    pm.add_argument("--jobs", type=int, default=default_jobs,
-                    help="parallel replicates (env LADDER_FPP_JOBS)")
+    pm.add_argument("--jobs", type=int, default=None,
+                    help="parallel replicates (default: env LADDER_FPP_JOBS, else 1)")
     pm.add_argument("--dump-trajectory", default=None, metavar="PATH",
                     help="write CSV t,state,height (front mode)")
     pm.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
@@ -331,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("validate", help="cross-route checks; exit 1 on failure")
     pv.add_argument("level", choices=["quick", "full"])
     pv.add_argument("--seed", type=int, default=None)
-    pv.add_argument("--jobs", type=int, default=default_jobs)
+    pv.add_argument("--jobs", type=int, default=None,
+                    help="parallel replicates (default: env LADDER_FPP_JOBS, else 1)")
     pv.set_defaults(func=cmd_validate)
     return p
 

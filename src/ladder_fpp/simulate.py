@@ -18,6 +18,7 @@ Exponentials are drawn by inverse CDF, -log1p(-U) with U uniform on [0, 1).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
@@ -187,12 +188,18 @@ def simulate_front_chain(cfg: SimConfig, replicate: int = 0) -> ChainTrajectory:
 class FppRecord:
     """Settled infection times of the ladder up to (at least) target_height.
 
-    infection_times[y, x] is T[(x, y)], +inf where not settled.  Edge weights
+    infection_times[y, x] is T[(x, y)] where settled, the tentative time
+    where reached but not settled, and +inf elsewhere.  Edge weights
     are sampled lazily and stored by their lower endpoint: rail_weights[y, x]
     is the rail (x,y)-(x+1,y), rung_weights[x] the rung (x,0)-(x,1); NaN
     marks edges never relaxed.  Every vertex with infection time <=
     horizon_time is settled (Dijkstra settles in nondecreasing time order),
     so reconstructions are exact up to that horizon.
+
+    All four arrays are C-contiguous: infection_times and rail_weights are
+    float64 and settled is bool, each of shape (2, size); rung_weights is
+    float64 of shape (size,).  `simulate_fpp_ladder` builds them once, from
+    its flat working storage, when the run ends.
     """
 
     infection_times: np.ndarray
@@ -211,6 +218,14 @@ class FppRecord:
         return float(min(self.infection_times[0, h], self.infection_times[1, h]))
 
 
+def _by_level(flat: array | bytearray, dtype) -> np.ndarray:
+    """Reorder storage indexed by v = 2x + y, in place, into a C-contiguous
+    (2, size) array over the same buffer."""
+    a = np.frombuffer(flat, dtype=dtype)
+    a[:] = a.reshape(-1, 2).T.ravel()
+    return a.reshape(2, -1)
+
+
 def simulate_fpp_ladder(cfg: SimConfig, replicate: int = 0) -> FppRecord:
     """Multi-source Dijkstra over the ladder with Exp(1) weights drawn on
     first relaxation.
@@ -220,6 +235,14 @@ def simulate_fpp_ladder(cfg: SimConfig, replicate: int = 0) -> FppRecord:
     settled distance, and the unsampled edges beyond it are nonnegative.
     Heap ties are broken by vertex order (height, then level); ties have
     probability zero under continuous weights.
+
+    While it runs, vertex (x, y) is the flat index v = 2x + y: tentative
+    times and rail weights live in `array('d')` buffers indexed by v, rung
+    weights in one indexed by x, the settled flags in a `bytearray`, and heap
+    entries are (time, v), which orders ties as (time, x, y) would.  Growth
+    extends the buffers in place.  At the end each buffer is reordered once,
+    in place, into the (2, size) layout of `FppRecord`, whose arrays are
+    numpy views of these buffers.
     """
     if cfg.mode != "fpp_dijkstra":
         raise ValueError("cfg.mode must be 'fpp_dijkstra'")
@@ -231,19 +254,12 @@ def simulate_fpp_ladder(cfg: SimConfig, replicate: int = 0) -> FppRecord:
     bp = 0
 
     size = H + 1 + 64
-    rail = np.full((2, size), np.nan)
-    rung = np.full(size, np.nan)
-    dist = np.full((2, size), np.inf)
-    settled = np.zeros((2, size), np.bool_)
-
-    def grow():
-        nonlocal rail, rung, dist, settled, size
-        add = size
-        rail = np.concatenate([rail, np.full((2, add), np.nan)], axis=1)
-        rung = np.concatenate([rung, np.full(add, np.nan)])
-        dist = np.concatenate([dist, np.full((2, add), np.inf)], axis=1)
-        settled = np.concatenate([settled, np.zeros((2, add), np.bool_)], axis=1)
-        size += add
+    inf_run = array("d", [np.inf])
+    nan_run = array("d", [np.nan])
+    rail = nan_run * (2 * size)
+    rung = nan_run * size
+    dist = inf_run * (2 * size)
+    settled = bytearray(2 * size)
 
     def draw() -> float:
         nonlocal buf, bp
@@ -254,58 +270,68 @@ def simulate_fpp_ladder(cfg: SimConfig, replicate: int = 0) -> FppRecord:
         bp += 1
         return w
 
-    heap = [(0.0, 0, 0)]
-    dist[0, 0] = 0.0
+    heap = [(0.0, 0)]
+    dist[0] = 0.0
     if cfg.initial == "both_nodes":
-        dist[1, 0] = 0.0
-        heap.append((0.0, 0, 1))
-    remaining = 2 * (H + 1)
+        dist[1] = 0.0
+        heap.append((0.0, 1))
+    top = 2 * (H + 1)  # v < top  <=>  x <= H
+    remaining = top
     horizon = 0.0
     while remaining:
-        d, x, y = heappop(heap)
-        if settled[y, x]:
+        d, v = heappop(heap)
+        if settled[v]:
             continue
-        settled[y, x] = True
+        settled[v] = 1
         horizon = d
-        if x <= H:
+        if v < top:
             remaining -= 1
+        x = v >> 1
         if x + 1 >= size:
-            grow()
-        if not settled[y, x + 1]:
-            w = rail[y, x]
+            rail.extend(nan_run * (2 * size))
+            rung.extend(nan_run * size)
+            dist.extend(inf_run * (2 * size))
+            settled.extend(bytes(2 * size))
+            size *= 2
+        u = v + 2
+        if not settled[u]:
+            w = rail[v]
             if w != w:
                 w = draw()
-                rail[y, x] = w
+                rail[v] = w
             nd = d + w
-            if nd < dist[y, x + 1]:
-                dist[y, x + 1] = nd
-                heappush(heap, (nd, x + 1, y))
-        if x > 0 and not settled[y, x - 1]:
-            w = rail[y, x - 1]
-            if w != w:
-                w = draw()
-                rail[y, x - 1] = w
-            nd = d + w
-            if nd < dist[y, x - 1]:
-                dist[y, x - 1] = nd
-                heappush(heap, (nd, x - 1, y))
-        if not settled[1 - y, x]:
+            if nd < dist[u]:
+                dist[u] = nd
+                heappush(heap, (nd, u))
+        if v >= 2:
+            u = v - 2
+            if not settled[u]:
+                w = rail[u]
+                if w != w:
+                    w = draw()
+                    rail[u] = w
+                nd = d + w
+                if nd < dist[u]:
+                    dist[u] = nd
+                    heappush(heap, (nd, u))
+        u = v ^ 1
+        if not settled[u]:
             w = rung[x]
             if w != w:
                 w = draw()
                 rung[x] = w
             nd = d + w
-            if nd < dist[1 - y, x]:
-                dist[1 - y, x] = nd
-                heappush(heap, (nd, x, 1 - y))
+            if nd < dist[u]:
+                dist[u] = nd
+                heappush(heap, (nd, u))
     return FppRecord(
-        infection_times=dist,
-        settled=settled,
+        infection_times=_by_level(dist, np.float64),
+        settled=_by_level(settled, np.bool_),
         horizon_time=horizon,
         target_height=H,
         initial=cfg.initial,
-        rail_weights=rail,
-        rung_weights=rung,
+        rail_weights=_by_level(rail, np.float64),
+        rung_weights=np.frombuffer(rung, dtype=np.float64),
         seed=cfg.seed,
         replicate=replicate,
     )

@@ -49,6 +49,12 @@ class TestBesselJ:
         assert abs(v.value) < 1e-60
         assert v.err <= 1e-14
 
+    @pytest.mark.parametrize("n", [168, 169, 171, 200])
+    def test_orders_beyond_float_factorials(self, n):
+        v = bessel_j(n, 1e-10)
+        partial, rem = j_oracle(n)
+        assert abs(Fraction(v.value) - partial) + rem <= Fraction(v.err)
+
     @pytest.mark.parametrize("bad", [0.0, -1e-9])
     def test_rejects_bad_tol(self, bad):
         with pytest.raises(ValueError):

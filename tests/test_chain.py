@@ -17,7 +17,7 @@ from ladder_fpp.chain import (
 )
 from ladder_fpp.bessel import bessel_j, upsilon
 
-from oracles import j_partial, pi_oracle
+from oracles import j_oracle, j_partial, pi_oracle
 
 TABLE1_A = [3, 11, 56, 340, 2395, 19231, 173490, 1737706, 19136803]
 TABLE1_B = [1, 5, 26, 158, 1113, 8937, 80624, 807544, 8893225]
@@ -156,6 +156,26 @@ class TestClosedFormPi:
             pi0(0.0)
         with pytest.raises(ValueError):
             pi(2, -1.0)
+
+
+class TestLargeIndex:
+    """States whose Bessel orders put k!(n+k)! beyond the float range."""
+
+    def test_pi_encloses_oracle_at_200(self):
+        b = pi(200, 1e-10)
+        assert abs(Fraction(b.value) - pi_oracle(200)) <= Fraction(b.err)
+
+    @pytest.mark.parametrize("K", [166, 167, 200])
+    def test_tail_bound_dominates_tail(self, K):
+        # rational upper bound on the tail mass 2*J_{K+3} / (2*J_3 + J_0)
+        (j, rj), (j3, r3), (j0, r0) = j_oracle(K + 3), j_oracle(3), j_oracle(0)
+        tail = 2 * (j + rj) / (2 * (j3 - r3) + (j0 - r0))
+        assert Fraction(chain._tail_bound(K)) >= tail > 0
+
+    def test_truncated_solve_at_166(self):
+        sol = stationary_truncated_solve(166)
+        assert sol.K == 166 and sol.tail_bound > 0
+        assert abs(sol.probs[0] - PI0_REF) <= 1e-12
 
 
 class TestTruncatedSolve:

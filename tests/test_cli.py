@@ -24,6 +24,15 @@ def run_cli_expecting_exit(argv, code):
     assert exc.value.code == code
 
 
+def assert_usage_error(argv, capsys):
+    """Exit code 2 with a one-line message on stderr; any other exception
+    (a traceback from the command line) escapes pytest.raises and fails."""
+    run_cli_expecting_exit(argv, 2)
+    err = capsys.readouterr().err
+    assert err.startswith("ladder-fpp: error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 class TestExact:
     def test_tau_plain(self, capsys):
         rc, out = run_cli(["exact", "--tol", "1e-10", "--which", "tau"], capsys)
@@ -71,6 +80,17 @@ class TestExact:
 
     def test_unknown_quantity_usage_error(self):
         run_cli_expecting_exit(["exact", "--which", "bogus"], 2)
+
+    def test_negative_n_max_usage_error(self, capsys):
+        assert_usage_error(["exact", "--which", "pi_n", "--n-max", "-3"], capsys)
+
+    def test_pi_n_beyond_float_factorials(self, capsys):
+        rc, out = run_cli(
+            ["exact", "--which", "pi_n", "--n-max", "170", "--format", "csv"], capsys
+        )
+        assert rc == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["quantity"] for r in rows] == [f"pi_{n}" for n in range(171)]
 
 
 class TestSequences:
@@ -189,6 +209,33 @@ class TestSimulate:
         run_cli_expecting_exit(
             ["simulate", "--mode", "fpp", "--t-max", "50", "--seed", "1"], 2
         )
+
+    def test_zero_samples_usage_error(self, capsys):
+        assert_usage_error(
+            ["simulate", "--mode", "front", "--t-max", "1000", "--seed", "1",
+             "--report", "residual", "--samples", "0"], capsys
+        )
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_nonpositive_jobs_usage_error(self, jobs, capsys):
+        assert_usage_error(
+            ["simulate", "--mode", "fpp", "--height", "10", "--seed", "1", "--jobs", jobs],
+            capsys,
+        )
+        assert_usage_error(["validate", "quick", "--jobs", jobs], capsys)
+
+    def test_jobs_env_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("LADDER_FPP_JOBS", "two")
+        assert_usage_error(["simulate", "--mode", "fpp", "--height", "10", "--seed", "1"],
+                           capsys)
+        assert_usage_error(["validate", "quick"], capsys)
+        # commands that run no replicates do not read it
+        rc, out = run_cli(["exact", "--which", "tau"], capsys)
+        assert rc == 0 and "0.682725076122" in out
+        # an explicit --jobs takes precedence over the environment
+        rc, _ = run_cli(["simulate", "--mode", "fpp", "--height", "10", "--seed", "1",
+                         "--jobs", "1"], capsys)
+        assert rc == 0
 
     def test_replicates_front_rejected(self):
         run_cli_expecting_exit(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from ladder_fpp.constants import gamma_residual, time_constant
 from ladder_fpp.simulate import (
     ChainTrajectory,
     FppRecord,
+    FrontPath,
     SimConfig,
     empirical_front_distribution,
     empirical_residual_time,
@@ -24,6 +26,41 @@ from ladder_fpp.simulate import (
 from oracles import brute_force_passage_times
 
 SEED = 20260808
+
+# sha256 of the bytes of infection_times, settled, rail_weights and
+# rung_weights, then of repr(horizon_time), for H = 2000; recorded from the
+# earlier implementation that indexed (2, size) numpy arrays per vertex, so
+# any change of RNG order, tie-breaking or storage layout shows here
+PINNED_H2000 = {
+    (5, "both_nodes"): "062c21511e7d171961c95ea225a4c8a319e2bfb9687892ca469c1c8a7ba6e28f",
+    (5, "single_node"): "41ad0c1d274e8cb615b493851f58af885f45538236c40730d70eb71a6d702d3b",
+    (2026, "both_nodes"): "c1c05c1f7347d872e4828c74ad0e226250d0bf20c883c566a051cdcbdc2e7927",
+    (2026, "single_node"): "2aa92c531447cb8f8d97df9552d84b35058156f53a2574231670d8eb67463427",
+}
+
+
+def record_digest(rec: FppRecord) -> str:
+    h = hashlib.sha256()
+    for a in (rec.infection_times, rec.settled, rec.rail_weights, rec.rung_weights):
+        h.update(a.tobytes())
+    h.update(repr(rec.horizon_time).encode())
+    return h.hexdigest()
+
+
+def synthetic_record(inf: np.ndarray, horizon: float) -> FppRecord:
+    """Record whose settled vertices are the finite entries of inf."""
+    size = inf.shape[1]
+    return FppRecord(
+        infection_times=inf,
+        settled=np.isfinite(inf),
+        horizon_time=horizon,
+        target_height=0,
+        initial="both_nodes",
+        rail_weights=np.full((2, size), np.nan),
+        rung_weights=np.full(size, np.nan),
+        seed=0,
+        replicate=0,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +215,18 @@ class TestFppLadder:
         assert np.array_equal(a.infection_times, b.infection_times, equal_nan=True)
         assert a.passage_time() == b.passage_time()
 
+    @pytest.mark.parametrize(("seed", "initial"), sorted(PINNED_H2000))
+    def test_pinned_digest(self, seed, initial):
+        cfg = SimConfig(seed=seed, mode="fpp_dijkstra", target_height=2000, initial=initial)
+        rec = simulate_fpp_ladder(cfg)
+        size = 2000 + 1 + 64
+        for a, dtype, shape in ((rec.infection_times, np.float64, (2, size)),
+                                (rec.settled, np.bool_, (2, size)),
+                                (rec.rail_weights, np.float64, (2, size)),
+                                (rec.rung_weights, np.float64, (size,))):
+            assert a.dtype == dtype and a.shape == shape and a.flags.c_contiguous
+        assert record_digest(rec) == PINNED_H2000[(seed, initial)]
+
     def test_height_one_against_brute_force(self):
         # every sampled edge, exhaustively relaxed by an independent solver
         for seed in range(5):
@@ -233,21 +282,51 @@ class TestFrontOfFpp:
         inf = np.full((2, 10), np.inf)
         inf[0, :7] = np.arange(7) * 1.0
         inf[1, :5] = 0.05 + np.arange(5) * 1.1
-        settled = np.isfinite(inf)
-        rec = FppRecord(
-            infection_times=inf,
-            settled=settled,
-            horizon_time=7.0,
-            target_height=6,
-            initial="both_nodes",
-            rail_weights=np.full((2, 10), np.nan),
-            rung_weights=np.full(10, np.nan),
-            seed=0,
-            replicate=0,
-        )
-        path = front_of_fpp(rec)
+        path = front_of_fpp(synthetic_record(inf, horizon=7.0))
         assert path.height_at(6.5) == 6
         assert path.state_at(6.5) == 2
+
+    def test_tied_times_and_fill_in(self):
+        # level 1 starts late; (2,0) and (1,1) tie at 1.0, (3,0) and (2,1)
+        # at 2.0, and the stable sort keeps level 0 first; (1,0) is a fill-in
+        # behind the level-0 maximum; the horizon falls before the last jump,
+        # so the stats censor it
+        inf = np.full((2, 6), np.inf)
+        inf[0, :4] = [0.0, 1.5, 1.0, 2.0]
+        inf[1, :4] = [0.25, 1.0, 2.0, 2.5]
+        path = front_of_fpp(synthetic_record(inf, horizon=2.2))
+        assert (path.start_time, path.end_time) == (0.25, 2.2)
+        assert (path.initial_state, path.initial_height) == (0, 0)
+        assert path.times.tolist() == [1.0, 1.0, 2.0, 2.0, 2.5]
+        assert path.states.tolist() == [2, 1, 2, 1, 0]
+        assert path.height_times.tolist() == [1.0, 2.0]
+        assert path.heights.tolist() == [2, 3]
+        counts, exposure = front_transition_stats(path)
+        assert counts == {0: {2: 1}, 2: {1: 2}, 1: {2: 1}}
+        assert exposure.tolist() == pytest.approx([0.75, 1.2, 0.0], abs=1e-15)
+
+    def test_both_levels_only_at_last_vertex(self):
+        inf = np.full((2, 6), np.inf)
+        inf[0, 0], inf[1, 0] = 0.0, 0.5
+        path = front_of_fpp(synthetic_record(inf, horizon=0.5))
+        assert (path.start_time, path.initial_state, path.initial_height) == (0.5, 0, 0)
+        assert len(path.times) == len(path.height_times) == 0
+        counts, exposure = front_transition_stats(path)
+        assert counts == {} and exposure.tolist() == [0.0]
+
+    def test_stats_horizon_before_start(self):
+        # hand-built path: the censored interval would be negative
+        path = FrontPath(start_time=1.0, end_time=0.5, initial_state=2, initial_height=3,
+                         times=np.array([1.5]), states=np.array([1], dtype=np.int64),
+                         height_times=np.array([]), heights=np.array([], dtype=np.int64))
+        counts, exposure = front_transition_stats(path)
+        assert counts == {} and exposure.tolist() == [0.0, 0.0, 0.0]
+
+    def test_never_both_levels(self):
+        inf = np.full((2, 5), np.inf)
+        inf[0, :4] = [0.0, 1.0, 2.0, 3.0]
+        with pytest.raises(ValueError, match="never infected both levels"):
+            front_of_fpp(synthetic_record(inf, horizon=3.0))
 
     def test_single_node_discards_pre_merge(self):
         cfg = SimConfig(
