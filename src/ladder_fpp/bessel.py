@@ -4,7 +4,7 @@ cross-product Upsilon(n, m) = pi*[J_n(2) Y_m(2) - J_m(2) Y_n(2)].
 Everything here is evaluated at fixed argument x = 2, where the series
 simplify because (x/2)^k = 1.  Floating-point results carry an explicit
 absolute error bound (`BoundedReal`) that accounts for series truncation and
-float rounding.  Upsilon is computed purely in integer arithmetic via its
+float rounding.  Upsilon is computed in exact decimal arithmetic via its
 three-term recursion; the analytic definition is only used as a
 bounded-precision cross-check at small orders, because the floating route
 loses all precision once Upsilon grows factorially.
@@ -13,12 +13,16 @@ loses all precision once Upsilon grows factorially.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, Inexact,
+                     InvalidOperation, Overflow, Rounded)
 from fractions import Fraction
+from itertools import count, islice
+from typing import Iterator
 
 __all__ = [
     "BoundedReal",
+    "EXACT",
     "EULER_GAMMA",
     "PI",
     "bessel_j",
@@ -26,6 +30,7 @@ __all__ = [
     "harmonic",
     "upsilon",
     "upsilon_run",
+    "upsilon_terms",
     "upsilon_analytic",
 ]
 
@@ -149,6 +154,17 @@ def harmonic(m: int) -> Fraction:
     return sum((Fraction(1, j) for j in range(1, m + 1)), Fraction(0))
 
 
+def _over(x: float, denom: int) -> float:
+    """x / denom for x >= 0 and an integer denom >= 1.  Past float range
+    (k!(n+k)! for n >= 169) it is the correctly rounded quotient stepped one
+    ulp up: an upper bound that never underflows to 0.0."""
+    try:
+        return x / denom
+    except OverflowError:
+        num, den = x.as_integer_ratio()
+        return math.nextafter(num / (den * denom), math.inf)
+
+
 def _sum_terms(terms, compensated: bool):
     """Sum floats; return (total, rounding error bound).
 
@@ -197,12 +213,7 @@ def bessel_j(n: int, tol: float | None, compensated: bool = True) -> BoundedReal
     denom = math.factorial(n)  # k! (n+k)! at k=0
     sign = 1.0
     while True:
-        try:
-            term = 1.0 / denom
-        except OverflowError:  # denom beyond float range (n >= 169)
-            # correctly rounded, then one step up: an upper bound that never
-            # underflows to 0.0
-            term = math.nextafter(1 / denom, math.inf)
+        term = _over(1.0, denom)
         if not (term > stop or k < 2):
             break
         terms.append(sign * term)
@@ -258,13 +269,13 @@ def bessel_y(n: int, tol: float | None, compensated: bool = True) -> BoundedReal
     h_nk = float(harmonic(n))
     sign = 1.0
     while True:
-        terms.append(sign * (h_k + h_nk) / denom)
+        terms.append(sign * _over(h_k + h_nk, denom))
         k += 1
         sign = -sign
         denom *= k * (n + k)
         h_k += 1.0 / k
         h_nk += 1.0 / (n + k)
-        next_mag = (h_k + h_nk) / denom
+        next_mag = _over(h_k + h_nk, denom)
         if k >= 2 and 1.6 * next_mag <= stop:
             break
         if k > 400:
@@ -284,53 +295,41 @@ def bessel_y(n: int, tol: float | None, compensated: bool = True) -> BoundedReal
 # ---------------------------------------------------------------------------
 # Upsilon(n, m): exact integers by the three-term recursion
 #     Upsilon(n+1, m) = n*Upsilon(n, m) - Upsilon(n-1, m),
-# anchored at Upsilon(m, m) = 0, Upsilon(m+1, m) = 1.  Values for n < m come
-# from running the same recursion downward.
+# anchored at Upsilon(m, m) = 0, Upsilon(m+1, m) = 1.  Values for n < m follow
+# from the antisymmetry Upsilon(n, m) = -Upsilon(m, n) of the definition.
 
-_ups_lock = threading.Lock()
-_ups_memo: dict[int, list[int]] = {}  # m -> [Upsilon(m, m), Upsilon(m+1, m), ...]
-_UPS_MEMO_CAP = 2048  # entries kept per m; longer runs are streamed
+# Exact decimal arithmetic, where any rounding raises.  Products with small
+# integers and sums are linear in the digit count, and so is str(Decimal)
+# (str(int) is quadratic before CPython 3.12).
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[
+    InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
 
 
-def _ups_upward(m: int, n: int) -> int:
-    with _ups_lock:
-        run = _ups_memo.setdefault(m, [0, 1])
-        top = m + len(run) - 1
-        while top < n and len(run) < _UPS_MEMO_CAP:
-            run.append(top * run[-1] - run[-2])
-            top += 1
-        if n <= top:
-            return run[n - m]
-        a, b = run[-2], run[-1]
-    while top < n:
-        a, b = b, top * b - a
-        top += 1
-    return b
+def upsilon_terms(m: int) -> Iterator[Decimal]:
+    """Upsilon(m, m), Upsilon(m+1, m), ... without end, as exact Decimals."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    prev, cur = Decimal(0), Decimal(1)
+    yield prev
+    for n in count(m + 1):
+        yield cur
+        prev, cur = cur, EXACT.subtract(EXACT.multiply(n, cur), prev)
 
 
 def upsilon(n: int, m: int) -> int:
     """Exact integer Upsilon(n, m); requires n >= 0 and m >= 0."""
     if n < 0 or m < 0:
         raise ValueError("n and m must be >= 0")
-    if n >= m:
-        return _ups_upward(m, n)
-    # downward: Upsilon(j-1, m) = j*Upsilon(j, m) - Upsilon(j+1, m)
-    above, here = 1, 0  # values at m+1 and m
-    j = m
-    while j > n:
-        above, here = here, j * here - above
-        j -= 1
-    return here
+    if n < m:
+        return -upsilon(m, n)
+    return int(next(islice(upsilon_terms(m), n - m, None)))
 
 
 def upsilon_run(m: int, n_hi: int) -> list[int]:
     """[Upsilon(m, m), Upsilon(m+1, m), ..., Upsilon(n_hi, m)] in one pass."""
     if m < 0 or n_hi < m:
         raise ValueError("need 0 <= m <= n_hi")
-    run = [0, 1]
-    for j in range(m + 1, n_hi):
-        run.append(j * run[-1] - run[-2])
-    return run[: n_hi - m + 1]
+    return [int(v) for v in islice(upsilon_terms(m), n_hi - m + 1)]
 
 
 def upsilon_analytic(n: int, m: int) -> BoundedReal:

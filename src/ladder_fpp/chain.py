@@ -17,13 +17,15 @@ equations, which never consults the closed form.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
+from decimal import Decimal, Inexact
 from fractions import Fraction
+from itertools import count, islice
+from typing import Iterator
 
 import numpy as np
 
-from .bessel import BoundedReal, bessel_j, upsilon
+from .bessel import EXACT, BoundedReal, bessel_j, upsilon, upsilon_terms
 
 __all__ = [
     "QRow",
@@ -32,6 +34,7 @@ __all__ = [
     "q_row",
     "seq",
     "seq_via_upsilon",
+    "sequence_rows",
     "pi0",
     "pi",
     "front_distribution",
@@ -54,9 +57,6 @@ class QRow:
     state: int
     entries: dict[int, int]
     diagonal: int
-
-    def total_rate(self) -> int:
-        return -self.diagonal
 
 
 def q_row(n: int) -> QRow:
@@ -83,32 +83,55 @@ def q_row(n: int) -> QRow:
 # Seeds from the first three balance equations; for n >= 4 both satisfy
 #     c_n = c_{n-3} - (n+1)*c_{n-2} + (n+3)*c_{n-1}.
 
-_seq_lock = threading.Lock()
-_seq_memo = {"a": [3, 11, 56], "b": [1, 5, 26]}
-_SEQ_MEMO_CAP = 2048
+_SEEDS = {"a": (3, 11, 56), "b": (1, 5, 26)}
+
+
+def _coefficients(kind: str) -> Iterator[Decimal]:
+    """c_1, c_2, ... of a_n (kind='a') or b_n (kind='b'), exact, without end."""
+    c3, c2, c1 = (Decimal(c) for c in _SEEDS[kind])
+    yield from (c3, c2, c1)
+    for n in count(4):
+        step = EXACT.subtract(c3, EXACT.multiply(n + 1, c2))
+        c3, c2, c1 = c2, c1, EXACT.add(step, EXACT.multiply(n + 3, c1))
+        yield c1
+
+
+def _difference(c: Decimal, c_prev: Decimal, n: int) -> Decimal:
+    """(c_n - c_{n-1}) / n, which must be an integer."""
+    q, r = EXACT.divmod(EXACT.subtract(c, c_prev), n)
+    if r:
+        raise Inexact(f"difference sequence not integral at n={n}")
+    return q
+
+
+def sequence_rows(n_max: int) -> Iterator[tuple]:
+    """Rows (n, a_n, b_n, A_n, B_n, Upsilon(n+2, 0), 2*Upsilon(n+2, 3) + Upsilon(n+2, 0))
+    for n = 1..n_max, all but n exact Decimals, from O(1) rolling state.
+
+    A_n = (a_n - a_{n-1})/n and B_n likewise (None at n = 1).  The Upsilon
+    columns come from the Upsilon recursion, independent of the a_n/b_n one.
+    Do arithmetic on the values through `EXACT` or int(): the default
+    decimal context rounds to 28 digits.
+    """
+    if not 1 <= n_max <= SEQ_INDEX_CAP:
+        raise ValueError(f"n_max must be in 1..{SEQ_INDEX_CAP}")
+    a_prev = b_prev = None
+    ups0 = islice(upsilon_terms(0), 3, None)  # Upsilon(3, 0), Upsilon(4, 0), ...
+    columns = zip(range(1, n_max + 1), _coefficients("a"), _coefficients("b"), ups0,
+                  upsilon_terms(3))
+    for n, a, b, u0, u3 in columns:
+        big = (None, None) if n == 1 else (_difference(a, a_prev, n), _difference(b, b_prev, n))
+        yield (n, a, b, *big, u0, EXACT.add(EXACT.multiply(2, u3), u0))
+        a_prev, b_prev = a, b
 
 
 def seq(kind: str, n: int) -> int:
     """Exact a_n (kind='a') or b_n (kind='b') for n >= 1."""
     if kind not in ("a", "b"):
         raise ValueError("kind must be 'a' or 'b'")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > SEQ_INDEX_CAP:
-        raise ValueError(f"sequence index {n} exceeds the supported cap {SEQ_INDEX_CAP}")
-    with _seq_lock:
-        memo = _seq_memo[kind]
-        m = len(memo)  # memo holds indices 1..m
-        while m < n and m < _SEQ_MEMO_CAP:
-            memo.append(memo[-3] - (m + 2) * memo[-2] + (m + 4) * memo[-1])
-            m += 1
-        if n <= m:
-            return memo[n - 1]
-        c3, c2, c1 = memo[-3], memo[-2], memo[-1]
-    while m < n:
-        c3, c2, c1 = c2, c1, c3 - (m + 2) * c2 + (m + 4) * c1
-        m += 1
-    return c1
+    if not 1 <= n <= SEQ_INDEX_CAP:
+        raise ValueError(f"n must be in 1..{SEQ_INDEX_CAP}")
+    return int(next(islice(_coefficients(kind), n - 1, None)))
 
 
 def seq_via_upsilon(kind: str, n: int) -> int:
@@ -262,20 +285,16 @@ def check_sequence_recursions(N: int) -> RecursionReport:
     if N < 4:
         raise ValueError("N must be >= 4")
     failures = []
-    first_ok = True
-    diff_ok = True
     for kind in ("a", "b"):
-        c = {n: seq(kind, n) for n in range(1, N + 1)}
+        c = [None, *map(int, islice(_coefficients(kind), N))]  # c[n] = c_n for n = 1..N
         for n in range(2, N):
-            lhs = Fraction(c[n])
-            rhs = Fraction(c[n + 1] - c[n], n + 1) - Fraction(c[n] - c[n - 1], n)
-            if lhs != rhs:
-                first_ok = False
+            if Fraction(c[n]) != Fraction(c[n + 1] - c[n], n + 1) - Fraction(c[n] - c[n - 1], n):
                 failures.append((kind, "first_order", n))
         C = {n: Fraction(c[n] - c[n - 1], n) for n in range(2, N + 1)}
         for n in range(3, N):
             if C[n + 1] + C[n - 1] != (n + 2) * C[n]:
-                diff_ok = False
                 failures.append((kind, "difference", n))
     n_checked = 2 * ((N - 2) + max(0, N - 3))
-    return RecursionReport(N, first_ok, diff_ok, n_checked, tuple(failures))
+    broken = {f[1] for f in failures}
+    return RecursionReport(N, "first_order" not in broken, "difference" not in broken,
+                           n_checked, tuple(failures))

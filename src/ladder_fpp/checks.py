@@ -44,9 +44,13 @@ def check_generator_rows(n_max: int = 50) -> CheckResult:
 
 
 def check_two_route_sequences(n_max: int = 200) -> CheckResult:
-    for kind in ("a", "b"):
-        for n in range(1, n_max + 1):
-            if chain.seq(kind, n) != chain.seq_via_upsilon(kind, n):
+    """a_n, b_n from their recursion against the Upsilon route of `chain.seq_via_upsilon`:
+    forward differences of the table's Upsilon columns.  One pass gives both."""
+    rows = [[int(v) for v in (a, b, u0, u3)]
+            for _, a, b, _, _, u0, u3 in chain.sequence_rows(n_max + 1)]
+    for n, ((a, b, u0, u3), nxt) in enumerate(zip(rows, rows[1:]), start=1):
+        for kind, c, via in (("a", a, nxt[3] - u3), ("b", b, nxt[2] - u0)):
+            if c != via:
                 return "two_route_sequences", False, f"{kind}_{n} differs between routes"
     return (
         "two_route_sequences",

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -37,13 +38,7 @@ class OutputRecord:
     metadata: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "value": self.value,
-            "err_or_se": self.err_or_se,
-            "method": self.method,
-            "metadata": self.metadata,
-        }
+        return asdict(self)
 
 
 def _fmt12(x) -> str:
@@ -85,25 +80,34 @@ def cmd_exact(args) -> int:
     tol = args.tol
     records = []
     meta = {"tol": tol}
-    try:
-        for w in which:
-            if w == "pi0":
-                v = chain.pi0(tol)
-                records.append(OutputRecord("pi0", v.value, v.err, "closed_form", meta))
-            elif w == "tau":
-                v = constants.time_constant(tol)
-                records.append(OutputRecord("tau", v.value, v.err, "closed_form", meta))
-            elif w == "T":
-                v = constants.avg_residual_time(tol)
-                records.append(OutputRecord("T", v.value, v.err, "closed_form", meta))
-            elif w == "pi_n":
-                for n in range(args.n_max + 1):
-                    v = chain.pi(n, tol)
-                    records.append(OutputRecord(f"pi_{n}", v.value, v.err, "closed_form", meta))
-    except ValueError as exc:  # tol below the double-precision floor
-        raise UsageError(str(exc)) from exc
+    single = {"pi0": chain.pi0, "tau": constants.time_constant, "T": constants.avg_residual_time}
+    for w in which:
+        if w == "pi_n":
+            items = [(f"pi_{n}", functools.partial(chain.pi, n)) for n in range(args.n_max + 1)]
+        else:
+            items = [(w, single[w])]
+        for name, compute in items:
+            try:
+                v = compute(tol)
+            except ValueError as exc:  # tol below the double-precision floor
+                raise UsageError(
+                    f"--tol {tol:g} is below the double-precision floor of {name}; "
+                    f"use --tol {_tol_floor(compute):g} or more"
+                ) from exc
+            records.append(OutputRecord(name, v.value, v.err, "closed_form", meta))
     emit_records(records, args.format)
     return 0
+
+
+def _tol_floor(compute) -> float:
+    """The smallest tolerance on the 1-2-5 grid from 1e-16 that `compute` reaches."""
+    for tol in (m * 10.0 ** e for e in range(-16, -10) for m in (1, 2, 5)):
+        try:
+            compute(tol)
+            return tol
+        except ValueError:
+            pass
+    return 1e-10  # the default --tol, which every quantity reaches
 
 
 # ---------------------------------------------------------------------------
@@ -113,64 +117,36 @@ def cmd_exact(args) -> int:
 SEQ_TABLE_HEADER = ["n", "a_n", "b_n", "A_n", "B_n", "Ups(n+2,0)", "2Ups(n+2,3)+Ups(n+2,0)"]
 
 
-def _sequence_rows(n_max: int):
-    """Yield table rows with O(1) rolling state (values grow to ~36k digits
-    at the n_max = 10^4 cap, so nothing is accumulated)."""
-    a_seed, b_seed = [3, 11, 56], [1, 5, 26]
-    a_win, b_win = [], []  # last three values
-    u0 = (1, 1)  # (Upsilon(n+1, 0), Upsilon(n+2, 0)) at n = 1
-    u3 = (-1, 0)  # (Upsilon(n+1, 3), Upsilon(n+2, 3)) at n = 1
-    a_prev = b_prev = None
-    for n in range(1, n_max + 1):
-        if n <= 3:
-            a_n, b_n = a_seed[n - 1], b_seed[n - 1]
-        else:
-            a_n = a_win[0] - (n + 1) * a_win[1] + (n + 3) * a_win[2]
-            b_n = b_win[0] - (n + 1) * b_win[1] + (n + 3) * b_win[2]
-        if n >= 2:
-            big_a, rem_a = divmod(a_n - a_prev, n)
-            big_b, rem_b = divmod(b_n - b_prev, n)
-            assert rem_a == 0 and rem_b == 0, "difference sequences must be integral"
-        else:
-            big_a = big_b = None  # undefined at n = 1
-        yield [n, a_n, b_n, big_a, big_b, u0[1], 2 * u3[1] + u0[1]]
-        a_win = (a_win + [a_n])[-3:]
-        b_win = (b_win + [b_n])[-3:]
-        u0 = (u0[1], (n + 2) * u0[1] - u0[0])
-        u3 = (u3[1], (n + 2) * u3[1] - u3[0])
-        a_prev, b_prev = a_n, b_n
-
-
 def cmd_sequences(args) -> int:
     n_max = args.n_max
     if not 1 <= n_max <= chain.SEQ_INDEX_CAP:
         raise UsageError(f"n-max must be in 1..{chain.SEQ_INDEX_CAP}")
-    # "printed in full": entries reach ~36k digits at the cap, beyond the
-    # interpreter's default int -> str conversion guard
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 100_000))
-    header = SEQ_TABLE_HEADER
+    header, out, rows = SEQ_TABLE_HEADER, sys.stdout, chain.sequence_rows(n_max)
+    # Rows are streamed and joined by hand (str(Decimal) is linear; no data
+    # field needs csv quoting).  A line and its terminator go out apart: a
+    # concatenated copy, once freed, fragments the heap of a caller keeping the text.
     if args.format == "json":
-        sys.stdout.write('{"columns": %s, "rows": [\n' % json.dumps(header))
-        for r in _sequence_rows(n_max):
-            sys.stdout.write(json.dumps(r) + (",\n" if r[0] < n_max else "\n"))
-        sys.stdout.write("]}\n")
+        out.write('{"columns": %s, "rows": [\n' % json.dumps(header))
+        for r in rows:
+            out.write("[")
+            out.write(", ".join("null" if v is None else str(v) for v in r))
+            out.write("],\n" if r[0] < n_max else "]\n")
+        out.write("]}\n")
     elif args.format == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(header)
-        for r in _sequence_rows(n_max):
-            w.writerow(["" if v is None else v for v in r])
+        csv.writer(out).writerow(header)
+        for r in rows:
+            out.write(",".join("" if v is None else str(v) for v in r))
+            out.write("\r\n")
     elif n_max <= 200:  # pretty-printed: size the columns in a first pass
-        widths = [len(h) for h in header]
-        for r in _sequence_rows(n_max):
-            widths = [max(w, len(str(v))) for w, v in zip(widths, r)]
-        print("  ".join(h.rjust(widths[i]) for i, h in enumerate(header)))
-        for r in _sequence_rows(n_max):
-            print("  ".join(("" if v is None else str(v)).rjust(widths[i])
-                            for i, v in enumerate(r)))
-    else:  # ~36k-digit entries: stream space-separated rows
+        rows = list(rows)
+        # a missing entry is as wide as "None", as it always has been
+        widths = [max(len(h), *(len(str(r[i])) for r in rows)) for i, h in enumerate(header)]
+        print("  ".join(h.rjust(w) for h, w in zip(header, widths)))
+        for r in rows:
+            print("  ".join(("" if v is None else str(v)).rjust(w) for v, w in zip(r, widths)))
+    else:  # wide entries: stream space-separated rows
         print(" ".join(header))
-        for r in _sequence_rows(n_max):
+        for r in rows:
             print(" ".join("" if v is None else str(v) for v in r))
     return 0
 

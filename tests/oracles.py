@@ -2,7 +2,8 @@
 
 Everything here is deliberately separate from the package implementation:
 exact-rational Bessel partial sums with alternating-series remainder bounds,
-and a brute-force shortest-path search over an explicit edge list.
+plain-int recursions for a_n, b_n and Upsilon, and a brute-force
+shortest-path search over an explicit edge list.
 """
 
 from fractions import Fraction
@@ -32,6 +33,26 @@ def pi_oracle(n: int, terms: int = 45) -> Fraction:
     if n == 0:
         return j_partial(0, terms) / denom
     return 2 * (j_partial(n + 2, terms) - j_partial(n + 3, terms)) / denom
+
+
+def seq_oracle(kind: str, n: int) -> int:
+    """a_n or b_n in plain ints: the seeds, then
+    c_m = c_{m-3} - (m+1)*c_{m-2} + (m+3)*c_{m-1} for m >= 4."""
+    c = {"a": [3, 11, 56], "b": [1, 5, 26]}[kind]
+    for m in range(4, n + 1):
+        c.append(c[-3] - (m + 1) * c[-2] + (m + 3) * c[-1])
+    return c[n - 1]
+
+
+def upsilon_oracle(n: int, m: int) -> int:
+    """Upsilon(n, m) in plain ints from Upsilon(m, m) = 0, Upsilon(m+1, m) = 1,
+    running the three-term recursion upward (n >= m) or downward (n < m)."""
+    lo, hi = 0, 1  # values at j and j+1
+    for j in range(m, n):  # upward: Upsilon(j+2) = (j+1)*Upsilon(j+1) - Upsilon(j)
+        lo, hi = hi, (j + 1) * hi - lo
+    for j in range(m, n, -1):  # downward: Upsilon(j-1) = j*Upsilon(j) - Upsilon(j+1)
+        lo, hi = j * lo - hi, lo
+    return lo
 
 
 def brute_force_passage_times(edges: dict, sources: list) -> dict:

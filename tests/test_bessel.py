@@ -15,7 +15,7 @@ from ladder_fpp.bessel import (
     upsilon_run,
 )
 
-from oracles import j_oracle, j_partial
+from oracles import j_oracle, j_partial, upsilon_oracle
 
 # Correctly rounded doubles, frozen from the rational oracle / 50-digit evaluation.
 J0_REF = 0.22389077914123567
@@ -92,6 +92,16 @@ class TestBesselY:
         assert v.err <= 1e-12
         assert abs(v.value - Y0_REF) <= v.err + 1e-15
 
+    @pytest.mark.parametrize("n", [169, 170, 171])
+    def test_large_order_against_mpmath(self, n):
+        # k!(n+k)! leaves float range here while Y_n(2) ~ -(n-1)!/pi does not
+        mpmath = pytest.importorskip("mpmath")
+        y = bessel_y(n, None)
+        with mpmath.workdps(40):
+            ref = mpmath.bessely(n, 2)
+            assert abs(mpmath.mpf(y.value) - ref) <= y.err
+        assert y.err <= 1e-14 * abs(y.value)
+
     def test_wronskian_normalizes_y1(self):
         j0 = bessel_j(0, None)
         j1 = bessel_j(1, None)
@@ -151,6 +161,13 @@ class TestUpsilon:
         for n in range(m, 13):
             ana = upsilon_analytic(n, m)
             assert abs(ana.value - upsilon(n, m)) <= ana.err, (n, m)
+
+    def test_matches_plain_int_oracle(self):
+        # n < m goes through the antisymmetry Upsilon(n, m) = -Upsilon(m, n)
+        for m in range(0, 13):
+            assert [upsilon(n, m) for n in range(0, 41)] == [
+                upsilon_oracle(n, m) for n in range(0, 41)
+            ]
 
     def test_run_matches_pointwise(self):
         run = upsilon_run(2, 30)

@@ -1,3 +1,4 @@
+import decimal
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from ladder_fpp.chain import (
 )
 from ladder_fpp.bessel import bessel_j, upsilon
 
-from oracles import j_oracle, j_partial, pi_oracle
+from oracles import j_oracle, j_partial, pi_oracle, seq_oracle
 
 TABLE1_A = [3, 11, 56, 340, 2395, 19231, 173490, 1737706, 19136803]
 TABLE1_B = [1, 5, 26, 158, 1113, 8937, 80624, 807544, 8893225]
@@ -86,6 +87,46 @@ class TestSequences:
             seq("c", 3)
         with pytest.raises(ValueError):
             seq("a", 0)
+
+    @pytest.mark.parametrize("kind", ["a", "b"])
+    def test_plain_int_oracle_at_cap(self, kind):
+        assert seq(kind, SEQ_INDEX_CAP) == seq_oracle(kind, SEQ_INDEX_CAP)
+
+
+class TestSequenceRows:
+    def test_columns_match_oracles(self):
+        rows = list(chain.sequence_rows(60))
+        assert [r[0] for r in rows] == list(range(1, 61))
+        for row in rows:  # ints: Decimal arithmetic would round to 28 digits here
+            n, a, b, big_a, big_b, u0, combo = (None if v is None else int(v) for v in row)
+            assert (a, b) == (seq_oracle("a", n), seq_oracle("b", n))
+            assert (u0, combo) == (upsilon(n + 2, 0), 2 * upsilon(n + 2, 3) + upsilon(n + 2, 0))
+            if n == 1:
+                assert big_a is None and big_b is None
+            else:
+                assert big_a == (a - seq_oracle("a", n - 1)) // n
+                assert big_b == (b - seq_oracle("b", n - 1)) // n
+
+    def test_values_are_exact_decimals(self):
+        last = list(chain.sequence_rows(1500))[-1]
+        assert all(isinstance(v, decimal.Decimal) for v in last[1:])
+        assert all(v.as_tuple().exponent == 0 for v in last[1:])
+        assert int(last[1]) == seq_oracle("a", 1500)
+        assert len(str(last[1])) > 4000
+
+    def test_remainder_raises_inexact(self, monkeypatch):
+        # a_3 = 57 makes A_3 = (57 - 11)/3 leave a remainder
+        monkeypatch.setitem(chain._SEEDS, "a", (3, 11, 57))
+        rows = chain.sequence_rows(5)
+        assert next(rows)[3] is None
+        assert next(rows)[3] == 4
+        with pytest.raises(decimal.Inexact):
+            next(rows)
+
+    def test_rejects_out_of_range(self):
+        for n_max in (0, SEQ_INDEX_CAP + 1):
+            with pytest.raises(ValueError):
+                next(chain.sequence_rows(n_max))
 
 
 class TestClaimRecursions:

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 import json
+import sys
 
 import pytest
 
@@ -73,6 +75,21 @@ class TestExact:
         rc2, out2 = run_cli(["exact", "--which", "tau", "--format", "json"], capsys)
         assert v == json.loads(out2)["records"][0]["value"]
 
+    def test_tol_below_floor_quotes_the_given_tol(self, capsys):
+        run_cli_expecting_exit(["exact", "--tol", "1e-300"], 2)
+        assert capsys.readouterr().err == (
+            "ladder-fpp: error: --tol 1e-300 is below the double-precision "
+            "floor of pi0; use --tol 1e-15 or more\n"
+        )
+        run_cli_expecting_exit(["exact", "--tol", "1e-14", "--which", "T"], 2)
+        assert capsys.readouterr().err == (
+            "ladder-fpp: error: --tol 1e-14 is below the double-precision "
+            "floor of T; use --tol 2e-13 or more\n"
+        )
+        # the suggested floor is reachable
+        rc, _ = run_cli(["exact", "--tol", "1e-15", "--which", "pi0"], capsys)
+        assert rc == 0
+
     def test_bad_tol_usage_error(self):
         run_cli_expecting_exit(["exact", "--tol", "-1"], 2)
         run_cli_expecting_exit(["exact", "--tol", "0"], 2)
@@ -117,6 +134,37 @@ class TestSequences:
         lines = [ln for ln in out.splitlines() if ln.strip()]
         assert len(lines) == 2  # header plus one row
         assert rc == 0
+
+    # sha256 of the output bytes, recorded from the earlier implementation
+    # that formatted Python ints through the csv and json modules
+    DIGESTS = {
+        ("1500", "csv"): "00c1942227f66e7ea65a22cb3b4f046c1bec3f794b39e7a8d67a52b5da6f4faf",
+        ("1500", "json"): "5d385fa664d0ec91ba652ca06c3acd1d2f536d4457260e350f5afc6be369b82b",
+        ("200", "plain"): "82d0532b37b06d7d77528066760d36186039ae09b6288976fc1ead389b46b849",
+        ("250", "plain"): "596eb8839ce2e09122e3e2879ffc22a749cbe4f62cd479f1621100dc22685690",
+        ("3", "plain"): "5c687d4995d2cadf0d1a29cb0a3a6a85f45c6d3febc8a52c959065cdc36c3e6b",
+        ("1", "csv"): "a47dbab4ccbcb2ceb43c499a8905d234125bbeefedb96d565e70d8ddfe31d2a8",
+        ("1", "json"): "bd04044581d4e25fb96e00ce89ffb3bfe06da0cfdb1b9713a7d4a803488e9ee6",
+    }
+
+    @pytest.mark.parametrize("n_max, fmt", sorted(DIGESTS))
+    def test_output_bytes_pinned(self, n_max, fmt, capsys):
+        rc, out = run_cli(["sequences", "--n-max", n_max, "--format", fmt], capsys)
+        assert rc == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == self.DIGESTS[n_max, fmt]
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="interpreter has no int/str digit limit")
+    def test_leaves_int_str_limit_alone(self, capsys):
+        before = sys.get_int_max_str_digits()
+        default = sys.int_info.default_max_str_digits
+        sys.set_int_max_str_digits(default)
+        try:
+            rc, out = run_cli(["sequences", "--n-max", "1500", "--format", "csv"], capsys)
+            assert rc == 0 and len(out) > 10 ** 6
+            assert sys.get_int_max_str_digits() == default
+        finally:
+            sys.set_int_max_str_digits(before)
 
     def test_out_of_range(self):
         run_cli_expecting_exit(["sequences", "--n-max", "0"], 2)
