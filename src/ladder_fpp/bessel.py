@@ -165,34 +165,23 @@ def _over(x: float, denom: int) -> float:
         return math.nextafter(num / (den * denom), math.inf)
 
 
-def _sum_terms(terms, compensated: bool):
-    """Sum floats; return (total, rounding error bound).
-
-    Compensated mode uses Neumaier summation, whose recovered total is
-    accurate to one rounding of the result; plain mode bounds the error by
-    one ulp of the running magnitude per addition.
-    """
-    if compensated:
-        s = 0.0
-        c = 0.0
-        for t in terms:
-            x = s + t
-            if abs(s) >= abs(t):
-                c += (s - x) + t
-            else:
-                c += (t - x) + s
-            s = x
-        total = s + c
-        return total, abs(total) * _ULP + _TINY
+def _sum_terms(terms):
+    """Neumaier-sum floats; return (total, rounding error bound).  The recovered
+    total is accurate to one rounding of the result."""
     s = 0.0
-    bound = 0.0
+    c = 0.0
     for t in terms:
-        s += t
-        bound += abs(s) * _ULP
-    return s, bound + _TINY
+        x = s + t
+        if abs(s) >= abs(t):
+            c += (s - x) + t
+        else:
+            c += (t - x) + s
+        s = x
+    total = s + c
+    return total, abs(total) * _ULP + _TINY
 
 
-def bessel_j(n: int, tol: float | None, compensated: bool = True) -> BoundedReal:
+def bessel_j(n: int, tol: float | None) -> BoundedReal:
     """J_n(2) = sum_{k>=0} (-1)^k / (k! (n+k)!) with |value - J_n(2)| <= err <= tol.
 
     Term magnitudes decrease strictly from k = 0, so the alternating-series
@@ -222,13 +211,16 @@ def bessel_j(n: int, tol: float | None, compensated: bool = True) -> BoundedReal
         denom *= k * (n + k)
         if k > 400:  # unreachable: terms decay factorially
             raise RuntimeError("J series failed to converge")
-    value, rounding = _sum_terms(terms, compensated)
+    value, rounding = _sum_terms(terms)
     err = term + rounding  # first omitted term bounds the truncation
     if tol is not None and err > tol:
         raise ValueError(
             f"requested tol={tol} for J_{n}(2) is below the double-precision floor ({err:.2e})"
         )
     return BoundedReal(value, err)
+
+
+_Y_MAX_ORDER = 171
 
 
 def _y_finite_sum(n: int) -> Fraction:
@@ -239,7 +231,7 @@ def _y_finite_sum(n: int) -> Fraction:
     )
 
 
-def bessel_y(n: int, tol: float | None, compensated: bool = True) -> BoundedReal:
+def bessel_y(n: int, tol: float | None) -> BoundedReal:
     """Y_n(2) from the standard series, with |value - Y_n(2)| <= err <= tol.
 
     At x = 2 the log term vanishes and
@@ -252,12 +244,13 @@ def bessel_y(n: int, tol: float | None, compensated: bool = True) -> BoundedReal
     <= 1/4), so the tail after term K >= 1 is at most 1.6x the next term.
     |Y_n(2)| grows like (n-1)!/pi; tolerances below the resulting rounding
     floor raise ValueError, and tol=None requests the achievable floor.
+    |Y_172(2)| ~ 3.9e308 is beyond double range, so n > 171 raises ValueError.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not 0 <= n <= _Y_MAX_ORDER:
+        raise ValueError(f"n must be in 0..{_Y_MAX_ORDER} (Y_n(2) beyond double range), got {n}")
     if tol is not None and not tol > 0.0:
         raise ValueError("tol must be > 0")
-    jn = bessel_j(n, None, compensated)
+    jn = bessel_j(n, None)
     two_gamma_jn = 2.0 * EULER_GAMMA * jn
     finite = BoundedReal.from_fraction(_y_finite_sum(n))
 
@@ -280,7 +273,7 @@ def bessel_y(n: int, tol: float | None, compensated: bool = True) -> BoundedReal
             break
         if k > 400:
             raise RuntimeError("Y series failed to converge")
-    series_value, rounding = _sum_terms(terms, compensated)
+    series_value, rounding = _sum_terms(terms)
     # harmonic increments accumulate <= k ulps of ~2*H_k <= 16 ulp each term
     series = BoundedReal(series_value, 1.6 * next_mag + rounding + len(terms) * 16.0 * _ULP)
 

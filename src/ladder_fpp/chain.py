@@ -162,37 +162,35 @@ def _denominator(tol: float) -> BoundedReal:
     return 2 * bessel_j(3, tol) + bessel_j(0, tol)
 
 
-def pi0(tol: float) -> BoundedReal:
-    """pi_0 = J_0 / (2*J_3 + J_0) with error bound <= tol."""
-    if not tol > 0.0:
-        raise ValueError("tol must be > 0")
-    sub = tol / 16.0
-    out = bessel_j(0, sub) / _denominator(sub)
-    if out.err > tol:  # never at reachable tolerances; retry once, tighter
-        sub /= 64.0
-        out = bessel_j(0, sub) / _denominator(sub)
-        if out.err > tol:
-            raise ValueError(f"cannot reach tol={tol} for pi_0 (err={out.err:.2e})")
+def _pi_from_j(J: dict[int, BoundedReal], ns, tol: float) -> list[BoundedReal]:
+    """pi_n for each n in ns from the J values in `J` (J_0, J_3 and, for each
+    n >= 1, J_{n+2} and J_{n+3}); raises if a bound exceeds tol."""
+    denom = 2 * J[3] + J[0]
+    out = []
+    for n in ns:
+        p = J[0] / denom if n == 0 else 2 * (J[n + 2] - J[n + 3]) / denom
+        if p.err > tol:
+            raise ValueError(f"cannot reach tol={tol} for pi_{n} (err={p.err:.2e})")
+        out.append(p)
     return out
 
 
-def pi(n: int, tol: float) -> BoundedReal:
-    """Stationary probability of front state n:
+def pi0(tol: float) -> BoundedReal:
+    """pi_0 = J_0 / (2*J_3 + J_0) with error bound <= tol."""
+    return pi(0, tol)
 
-        pi_0 as above;  pi_n = 2*(J_{n+2} - J_{n+3}) / (2*J_3 + J_0), n >= 1.
+
+def pi(n: int, tol: float) -> BoundedReal:
+    """Stationary probability of front state n, with error bound <= tol:
+
+        pi_0 = J_0 / (2*J_3 + J_0);  pi_n = 2*(J_{n+2} - J_{n+3}) / (2*J_3 + J_0), n >= 1.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if not tol > 0.0:
         raise ValueError("tol must be > 0")
-    if n == 0:
-        return pi0(tol)
-    sub = tol / 16.0
-    num = 2 * (bessel_j(n + 2, sub) - bessel_j(n + 3, sub))
-    out = num / _denominator(sub)
-    if out.err > tol:
-        raise ValueError(f"cannot reach tol={tol} for pi_{n} (err={out.err:.2e})")
-    return out
+    orders = (0, 3) if n == 0 else (n + 2, n + 3, 3, 0)
+    return _pi_from_j({k: bessel_j(k, tol / 16.0) for k in orders}, (n,), tol)[0]
 
 
 @dataclass
@@ -218,10 +216,14 @@ def _tail_bound(K: int) -> float:
 
 
 def front_distribution(K: int, tol: float = 1e-13) -> FrontDistribution:
-    """Closed-form Pi truncated at state K."""
+    """Closed-form Pi truncated at state K: `pi(n, tol)` for n = 0..K, from one
+    evaluation each of J_0 and J_3..J_{K+3}."""
     if K < 0:
         raise ValueError("K must be >= 0")
-    probs = np.array([pi(n, tol).value for n in range(K + 1)])
+    if not tol > 0.0:
+        raise ValueError("tol must be > 0")
+    J = {n: bessel_j(n, tol / 16.0) for n in (0, *range(3, K + 4))}
+    probs = np.array([p.value for p in _pi_from_j(J, range(K + 1), tol)])
     return FrontDistribution(probs, _tail_bound(K), K, method="closed_form")
 
 

@@ -171,10 +171,13 @@ def cmd_simulate(args) -> int:
     jobs = _jobs(args)
     mode = {"front": "front_chain", "fpp": "fpp_dijkstra"}[args.mode]
     initial = {"both": "both_nodes", "single": "single_node"}[args.initial]
-    if mode == "front_chain" and args.replicates != 1:
+    if mode == "front_chain" and args.replicates is not None:
         raise UsageError("--replicates applies to --mode fpp only")
     if mode == "fpp_dijkstra" and args.height is None:
         raise UsageError("--mode fpp requires --height")
+    if mode == "fpp_dijkstra" and (args.replicates is None or args.replicates < 2):
+        raise UsageError("--mode fpp requires --replicates N >= 2 (a standard error "
+                         "needs two replicates)")
     if args.dump_trajectory and mode != "front_chain":
         raise UsageError("--dump-trajectory applies to --mode front only")
     if args.samples < 1:
@@ -186,7 +189,7 @@ def cmd_simulate(args) -> int:
             target_height=args.height,
             t_max=args.t_max,
             initial=initial,
-            replicates=args.replicates,
+            replicates=args.replicates or 1,
             burn_in=args.burn_in,
         )
     except ValueError as exc:
@@ -307,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = pm.add_mutually_exclusive_group(required=True)
     g.add_argument("--height", type=int, default=None)
     g.add_argument("--t-max", type=float, default=None)
-    pm.add_argument("--replicates", type=int, default=1)
+    pm.add_argument("--replicates", type=int, default=None,
+                    help="independent replicates for --mode fpp (required, at least 2)")
     pm.add_argument("--initial", choices=["both", "single"], default="both")
     pm.add_argument("--burn-in", type=float, default=100.0)
     pm.add_argument("--report", choices=["tau", "front-dist", "residual"], default="tau")

@@ -15,8 +15,8 @@ form consistent with those boundary values is
     gamma_n = sum_{j=0}^{n+2} 1/j!  -  2     for all n >= 0
 
 (the -2 offset is forced by gamma_1 = 2/3; without it the sum gives 8/3).
-Both routes are exposed and verified to coincide; T computed from the
-rearranged series below is asserted against the direct sum pi_n*gamma_n.
+Both routes are exposed; `checks` verifies that they coincide, and that T
+from the rearranged series below agrees with the direct sum pi_n*gamma_n.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
+from typing import Iterator
 
 from .bessel import BoundedReal, bessel_j
 from .chain import pi, pi0
@@ -33,6 +35,7 @@ __all__ = [
     "time_constant",
     "gamma_residual",
     "gamma_residual_recursion",
+    "gamma_residual_terms",
     "avg_residual_time",
     "avg_residual_time_direct",
     "headline_constants",
@@ -59,17 +62,20 @@ def gamma_residual(n: int) -> Fraction:
     return sum((Fraction(1, math.factorial(j)) for j in range(n + 3)), Fraction(-2))
 
 
+def gamma_residual_terms() -> Iterator[Fraction]:
+    """gamma_0, gamma_1, ... by the first-step recursion, exact, without end;
+    independent of the closed form."""
+    g, acc = Fraction(1, 2), Fraction(0)  # gamma_{m-1}, and the sum of gamma_j for j <= m-2
+    for m in count(1):
+        yield g
+        g, acc = (1 + 2 * g + acc) / (m + 2), acc + g
+
+
 def gamma_residual_recursion(n: int) -> Fraction:
     """gamma_n by the first-step recursion; independent of the closed form."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    g = [Fraction(1, 2)]
-    acc = Fraction(0)  # sum of g[0..n-2]
-    for m in range(1, n + 1):
-        if m >= 2:
-            acc += g[m - 2]
-        g.append((1 + 2 * g[m - 1] + acc) / (m + 2))
-    return g[n]
+    return next(islice(gamma_residual_terms(), n, None))
 
 
 def avg_residual_time(tol: float) -> BoundedReal:
@@ -78,8 +84,8 @@ def avg_residual_time(tol: float) -> BoundedReal:
         T = [ J_0/2 + (4/3)*J_3 + 2*sum_{n>=1} J_{n+3}/(n+3)! ] / (2*J_3 + J_0).
 
     The sum's terms are below 1/((n+3)!)^2, so truncation tails are
-    negligible after a handful of terms.  The returned value is asserted to
-    agree with the direct sum over pi_n * gamma_n.
+    negligible after a handful of terms.  `checks.check_residual_series`
+    compares it with the direct sum over pi_n * gamma_n.
     """
     if not tol > 0.0:
         raise ValueError("tol must be > 0")
@@ -102,11 +108,6 @@ def avg_residual_time(tol: float) -> BoundedReal:
     out = total / (2 * j3 + j0)
     if out.err > tol:
         raise ValueError(f"cannot reach tol={tol} for T (err={out.err:.2e})")
-    direct = avg_residual_time_direct(tol)
-    if abs(direct.value - out.value) > direct.err + out.err:
-        raise AssertionError(
-            f"residual-time routes disagree: series {out.value!r} vs direct {direct.value!r}"
-        )
     return out
 
 

@@ -1,216 +1,96 @@
-"""Acceptance suite: one test per criterion, each at its stated tolerance.
+"""Acceptance suite: one test per criterion, each asserting on the check of
+the `checks` registry that `validate full` runs, plus the bounds only this
+suite sets (wall times, and the standard error of criterion 6).
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one pass line per
-criterion.  Monte Carlo criteria use fixed seeds and 4-sigma tolerances;
-shared runs (the H=1e5 percolation replicates and the t_max=1e6 chain
-trajectory) are computed once per session via fixtures.
+check.  Monte Carlo criteria use fixed seeds and 4-sigma tolerances; their
+runs (the H=1e5 percolation replicates from both starts and the t_max=1e6
+chain trajectory) are built once per session by `checks.monte_carlo_runs`,
+whose wall time the criterion-6 bound covers.
 """
 
-import math
 import time
-from fractions import Fraction
 
 import pytest
 
-from ladder_fpp import chain, constants, simulate
-from ladder_fpp.bessel import PI, bessel_j, bessel_y, upsilon
-PI0_QUOTED = 0.4647184275
-TAU_QUOTED = 0.6827250759
-T_QUOTED = 0.5953444665
+from ladder_fpp import checks
+
 SEED = 7
 
 
-def report(num, ok, detail):
-    print(f"{'PASS' if ok else 'FAIL'}  criterion {num}: {detail}")
-    assert ok, detail
+@pytest.fixture
+def report(capsys):
+    def report(num, name, ok, detail):
+        with capsys.disabled():
+            print(f"{'PASS' if ok else 'FAIL'}  criterion {num} ({name}): {detail}")
+        assert ok, detail
+
+    return report
 
 
-@pytest.fixture(scope="module")
-def fpp_both():
-    cfg = simulate.SimConfig(
-        seed=SEED, mode="fpp_dijkstra", target_height=10 ** 5, replicates=20
-    )
+@pytest.fixture(scope="session")
+def mc_timed():
     t0 = time.perf_counter()
-    est, values = simulate.fpp_time_constant(cfg)
-    return est, values, time.perf_counter() - t0
+    runs = checks.monte_carlo_runs(SEED)
+    return runs, time.perf_counter() - t0
 
 
-@pytest.fixture(scope="module")
-def fpp_single():
-    cfg = simulate.SimConfig(
-        seed=SEED + 1,
-        mode="fpp_dijkstra",
-        target_height=10 ** 5,
-        replicates=20,
-        initial="single_node",
-    )
-    est, values = simulate.fpp_time_constant(cfg)
-    return est, values
+@pytest.fixture
+def mc(mc_timed):
+    return mc_timed[0]
 
 
-@pytest.fixture(scope="module")
-def long_chain():
-    cfg = simulate.SimConfig(seed=SEED, mode="front_chain", t_max=1e6, burn_in=100.0)
-    return simulate.simulate_front_chain(cfg)
-
-
-def test_criterion_1_exact_constants(capsys):
+def test_criterion_1_exact_constants(report):
     t0 = time.perf_counter()
-    p0 = chain.pi0(1e-10)
-    tau = constants.time_constant(1e-10)
-    t_resid = constants.avg_residual_time(1e-10)
+    name, ok, detail = checks.check_exact_constants()
     elapsed = time.perf_counter() - t0
-    devs = (
-        abs(p0.value - PI0_QUOTED),
-        abs(tau.value - TAU_QUOTED),
-        abs(t_resid.value - T_QUOTED),
-    )
-    ok = all(d <= 1e-9 for d in devs) and elapsed < 0.1
-    with capsys.disabled():
-        report(1, ok,
-               f"pi0/tau/T within {max(devs):.2e} of quoted values in {elapsed*1e3:.1f} ms")
+    report(1, name, ok and elapsed < 0.1, f"{detail}, in {elapsed * 1e3:.1f} ms")
 
 
-def test_criterion_2_sequence_tables(capsys):
-    table1_a = [3, 11, 56, 340, 2395, 19231, 173490, 1737706, 19136803]
-    table1_b = [1, 5, 26, 158, 1113, 8937, 80624, 807544, 8893225]
-    ok = [chain.seq("a", n) for n in range(1, 10)] == table1_a
-    ok &= [chain.seq("b", n) for n in range(1, 10)] == table1_b
-    table2_B = [2, 7, 33, 191, 1304, 10241]
-    table2_A = [4, 15, 71, 411, 2806, 22037]
-    ok &= [(chain.seq("b", n) - chain.seq("b", n - 1)) // n for n in range(2, 8)] == table2_B
-    ok &= [(chain.seq("a", n) - chain.seq("a", n - 1)) // n for n in range(2, 8)] == table2_A
-    ok &= [upsilon(n, 0) for n in range(1, 8)] == [1, 1, 1, 2, 7, 33, 191]
-    ok &= [2 * upsilon(n, 3) + upsilon(n, 0) for n in range(1, 8)] == [
-        -3, -1, 1, 4, 15, 71, 411,
-    ]
-    with capsys.disabled():
-        report(2, bool(ok), "a_n, b_n, A_n, B_n and Upsilon columns match both tables exactly")
+def test_criterion_2_sequence_tables(report):
+    report(2, *checks.check_sequence_tables())
 
 
-def test_criterion_3_two_route_identity(capsys):
+def test_criterion_3_two_route_identity(report):
     t0 = time.perf_counter()
-    ok = all(
-        chain.seq(k, n) == chain.seq_via_upsilon(k, n)
-        for k in ("a", "b")
-        for n in range(2, 201)
-    )
-    rep = chain.check_sequence_recursions(200)
-    ok = ok and rep.ok
+    results = [checks.check_two_route_sequences(), checks.check_sequence_recursions()]
     elapsed = time.perf_counter() - t0
-    ok = ok and elapsed < 1.0
-    with capsys.disabled():
-        report(3, ok, f"two routes and both recursions exact for n <= 200 in {elapsed:.2f} s")
+    for name, ok, detail in results:
+        report(3, name, ok and elapsed < 1.0, f"{detail} (both checks in {elapsed:.2f} s)")
 
 
-def test_criterion_4_truncated_solve(capsys):
-    sol = chain.stationary_truncated_solve(25)
-    worst = max(abs(sol.probs[n] - chain.pi(n, 1e-13).value) for n in range(21))
-    dev0 = abs(sol.probs[0] - PI0_QUOTED)
-    ok = worst <= 1e-10 and dev0 <= 1e-9
-    with capsys.disabled():
-        report(4, ok, f"K=25 solve vs closed form: max gap {worst:.1e}; pi0 dev {dev0:.1e}")
+def test_criterion_4_truncated_solve(report):
+    report(4, *checks.check_truncated_solve())
 
 
-def test_criterion_5_upsilon_and_wronskian(capsys):
-    ok = all(upsilon(n + 1, n) == 1 for n in range(11))
-    worst = 0.0
-    for n in range(11):
-        w = PI * (
-            bessel_j(n + 1, None) * bessel_y(n, None)
-            - bessel_j(n, None) * bessel_y(n + 1, None)
-        )
-        worst = max(worst, abs(w.value - 1.0))
-    ok = ok and worst <= 1e-9
-    with capsys.disabled():
-        report(5, ok, f"Upsilon(n+1,n)=1 for n<=10; series Wronskian within {worst:.1e} of 1")
+def test_criterion_5_upsilon_and_wronskian(report):
+    report(5, *checks.check_upsilon_wronskian())
 
 
-def test_criterion_6_mc_time_constant(capsys, fpp_both):
-    est, values, elapsed = fpp_both
-    dev = abs(est.mean - TAU_QUOTED)
-    ok = dev <= 4 * est.std_err and est.std_err < 1e-3 and elapsed < 60.0
-    with capsys.disabled():
-        report(6, ok,
-               f"H=1e5 x20: {est.mean:.6f} +- {est.std_err:.1e} "
-               f"({dev / est.std_err:.2f} sigma from tau) in {elapsed:.1f} s")
+def test_criterion_6_mc_time_constant(report, mc_timed):
+    mc, build_s = mc_timed
+    name, ok, detail = checks.check_mc_time_constant(mc)
+    report(6, name, ok and mc.both.std_err < 1e-3 and build_s < 60.0,
+           f"{detail}; all shared runs built in {build_s:.1f} s")
 
 
-def test_criterion_7_initial_condition_invariance(capsys, fpp_both, fpp_single):
-    est_b, _, _ = fpp_both
-    est_s, _ = fpp_single
-    combined = math.hypot(est_b.std_err, est_s.std_err)
-    dev = abs(est_b.mean - est_s.mean)
-    ok = dev <= 4 * combined
-    with capsys.disabled():
-        report(7, ok,
-               f"both {est_b.mean:.6f} vs single {est_s.mean:.6f}: "
-               f"{dev / combined:.2f} x combined SE")
+def test_criterion_7_initial_condition_invariance(report, mc):
+    report(7, *checks.check_mc_initial_invariance(mc))
 
 
-def test_criterion_8_occupation_measure(capsys, long_chain):
-    occ = simulate.empirical_front_distribution(long_chain, burn_in=100.0)
-    dev = abs(occ[0].mean - PI0_QUOTED)
-    ok = dev <= 4 * occ[0].std_err
-    tv = 0.5 * sum(
-        abs((occ[s].mean if s < len(occ) else 0.0) - chain.pi(s, 1e-13).value)
-        for s in range(16)
-    )
-    ok = ok and tv < 0.005
-    with capsys.disabled():
-        report(8, ok,
-               f"state-0 occupation {occ[0].mean:.6f} ({dev / occ[0].std_err:.2f} sigma); "
-               f"TV distance {tv:.2e}")
+def test_criterion_8_occupation_measure(report, mc):
+    report(8, *checks.check_mc_occupation(mc))
 
 
-def test_criterion_9_residual_times(capsys, long_chain):
-    ok = constants.gamma_residual_recursion(1) == Fraction(2, 3)
-    rng = simulate.make_stream(SEED, 1)
-    times = 100.0 + (long_chain.total_time - 150.0) * rng.random(10 ** 4)
-    est, _ = simulate.empirical_residual_time(long_chain, times)
-    dev = abs(est.mean - T_QUOTED)
-    ok = ok and dev <= 4 * est.std_err
-    states = simulate.front_state_at(long_chain, times)
-    sigmas = {}
-    for n, expect in ((0, 0.5), (1, 2.0 / 3.0)):
-        cond, _ = simulate.empirical_residual_time(long_chain, times[states == n])
-        sigmas[n] = abs(cond.mean - expect) / cond.std_err
-        ok = ok and sigmas[n] <= 4
-    with capsys.disabled():
-        report(9, ok,
-               f"gamma_1=2/3 exact; mean residual {est.mean:.5f} "
-               f"({dev / est.std_err:.2f} sigma); conditional F=0/F=1 at "
-               f"{sigmas[0]:.2f}/{sigmas[1]:.2f} sigma")
+def test_criterion_9_residual_times(report, mc):
+    report(9, *checks.check_gamma())
+    report(9, *checks.check_mc_residual(mc))
 
 
-def test_cross_engine_rate_agreement(capsys, fpp_both, long_chain):
-    # module invariant at full scale: the two independent engines' estimates
-    # of the percolation rate 1/tau agree within 4x combined standard errors
-    _, values, _ = fpp_both
-    inv = 1.0 / values
-    inv_se = inv.std(ddof=1) / math.sqrt(len(inv))
-    chain_est = simulate.height_rate_estimate(long_chain, burn_in=100.0)
-    combined = math.hypot(inv_se, chain_est.std_err)
-    dev = abs(inv.mean() - chain_est.mean)
-    ok = dev <= 4 * combined
-    with capsys.disabled():
-        report("6b", ok,
-               f"1/tau: dijkstra {inv.mean():.6f} vs gillespie {chain_est.mean:.6f} "
-               f"({dev / combined:.2f} x combined SE)")
+def test_cross_engine_rate_agreement(report, mc):
+    report("6b", *checks.check_mc_cross_engine(mc))
 
 
-def test_criterion_10_gamma_reconciliation(capsys):
-    ok = all(
-        constants.gamma_residual_recursion(n) - constants.gamma_residual_recursion(n - 1)
-        == Fraction(1, math.factorial(n + 2))
-        for n in range(2, 101)
-    )
-    direct = sum(
-        chain.pi(n, 1e-13).value * float(constants.gamma_residual(n)) for n in range(26)
-    )
-    dev = abs(direct - T_QUOTED)
-    ok = ok and dev <= 1e-9
-    with capsys.disabled():
-        report(10, ok,
-               f"recursion increments exact to n=100; direct sum pi_n*gamma_n "
-               f"within {dev:.2e} of quoted T")
+def test_criterion_10_gamma_reconciliation(report):
+    report(10, *checks.check_gamma())
+    report(10, *checks.check_residual_series())

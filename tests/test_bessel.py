@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ladder_fpp.bessel import (
     BoundedReal,
@@ -14,6 +15,7 @@ from ladder_fpp.bessel import (
     upsilon_analytic,
     upsilon_run,
 )
+from ladder_fpp.checks import PI0_QUOTED
 
 from oracles import j_oracle, j_partial, upsilon_oracle
 
@@ -22,7 +24,6 @@ J0_REF = 0.22389077914123567
 J3_REF = 0.12894324947440206
 Y0_REF = 0.5103756726497451
 Y1_REF = -0.10703243154093754
-PI0_QUOTED = 0.4647184275  # quoted to 10 decimals; true value is ~1.3e-10 above
 
 
 class TestBesselJ:
@@ -41,7 +42,7 @@ class TestBesselJ:
         j0 = bessel_j(0, 1e-14)
         j3 = bessel_j(3, 1e-14)
         p0 = j0 / (2 * j3 + j0)
-        assert abs(p0.value - PI0_QUOTED) <= 1e-9  # 10-decimal reference value
+        assert abs(p0.value - PI0_QUOTED) <= 1e-9  # quoted to 10 decimals; true value ~1.3e-10 above
         assert abs(p0.value - 0.4647184276286947) <= 1e-13
 
     def test_large_order_tiny(self):
@@ -80,11 +81,6 @@ class TestBesselJ:
         b = bessel_j(n, 1e-12)
         assert abs(a.value - b.value) <= 1e-10
 
-    def test_compensation_flag(self):
-        a = bessel_j(0, 1e-14, compensated=True)
-        b = bessel_j(0, 1e-14, compensated=False)
-        assert abs(a.value - b.value) <= b.err + a.err
-
 
 class TestBesselY:
     def test_y0_value(self):
@@ -101,6 +97,14 @@ class TestBesselY:
             ref = mpmath.bessely(n, 2)
             assert abs(mpmath.mpf(y.value) - ref) <= y.err
         assert y.err <= 1e-14 * abs(y.value)
+
+    @pytest.mark.parametrize("n", [172, 400])
+    def test_beyond_double_range_names_the_limit(self, n):
+        # |Y_172(2)| ~ 3.9e308 exceeds the largest double
+        with pytest.raises(ValueError, match="171"):
+            bessel_y(n, None)
+        with pytest.raises(ValueError, match="171"):
+            upsilon_analytic(n, 0)
 
     def test_wronskian_normalizes_y1(self):
         j0 = bessel_j(0, None)
@@ -224,6 +228,24 @@ class TestBoundedReal:
                     for cb in (bv - be, bv + be):
                         # 5e-15 covers rounding inside this corner evaluation
                         assert abs(fn(ca, cb) - got.value) <= got.err + 5e-15
+
+    FRACTIONS = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 12)
+    OPS = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y,
+           "mul": lambda x, y: x * y, "div": lambda x, y: x / y}
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @given(p=FRACTIONS, q=FRACTIONS)
+    def test_encloses_exact_fraction_result(self, op, p, q):
+        a, b = BoundedReal.from_fraction(p), BoundedReal.from_fraction(q)
+        fn = self.OPS[op]
+        if op == "div" and q == 0:
+            with pytest.raises(ZeroDivisionError):
+                fn(a, b)
+            return
+        exact = fn(p, q)
+        # both operands bounded, and a bounded operand mixed with the exact other one
+        for got in (fn(a, b), fn(a, q), fn(p, b)):
+            assert abs(Fraction(got.value) - exact) <= Fraction(got.err)
 
     def test_scalar_and_fraction_operands(self):
         x = BoundedReal(1.5, 1e-12)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ladder_fpp import chain
+from ladder_fpp import chain, checks
 from ladder_fpp.chain import (
     SEQ_INDEX_CAP,
     check_sequence_recursions,
@@ -17,12 +17,10 @@ from ladder_fpp.chain import (
     stationary_truncated_solve,
 )
 from ladder_fpp.bessel import bessel_j, upsilon
+from ladder_fpp.checks import PI0_QUOTED, TABLE1_A, TABLE1_B
 
 from oracles import j_oracle, j_partial, pi_oracle, seq_oracle
 
-TABLE1_A = [3, 11, 56, 340, 2395, 19231, 173490, 1737706, 19136803]
-TABLE1_B = [1, 5, 26, 158, 1113, 8937, 80624, 807544, 8893225]
-PI0_QUOTED = 0.4647184275
 PI0_REF = 0.4647184276286947
 PI1_REF = 0.3941552828860841
 
@@ -178,14 +176,9 @@ class TestClosedFormPi:
         assert abs(pi(n, 1e-13).value - float(pi_oracle(n))) <= 1e-14
 
     def test_normalization_telescopes_exactly(self):
-        # rational identity: sum_0^N pi_j = 1 - 2 J_{N+3} / (2J_3 + J_0)
-        N = 20
-        denom = 2 * j_partial(3, 45) + j_partial(0, 45)
-        total = pi_oracle(0) + sum(pi_oracle(n) for n in range(1, N + 1))
-        assert total == 1 - 2 * j_partial(N + 3, 45) / denom
-        # and the float route sums to 1 within accumulated rounding
-        fl = sum(pi(n, 1e-13).value for n in range(N + 1))
-        assert abs(fl - 1.0) <= 1e-13
+        # rational identity sum_0^20 pi_j = 1 - 2 J_23 / (2J_3 + J_0); float sum 1 within 1e-13
+        name, ok, detail = checks.check_normalization(20)
+        assert ok, detail
 
     @pytest.mark.parametrize("n", range(3, 16))
     def test_factorial_decay(self, n):
@@ -278,6 +271,16 @@ class TestFrontDistribution:
                    / (2 * bessel_j(3, None).value + bessel_j(0, None).value) - 1.0) <= 1e-13
         assert fd.probs.sum() <= 1.0 + 1e-13
 
+    @pytest.mark.parametrize("K", [25, 60])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13, 1e-15])
+    def test_probs_are_pointwise_pi(self, K, tol):
+        probs = front_distribution(K, tol).probs
+        assert probs.tobytes() == np.array([pi(n, tol).value for n in range(K + 1)]).tobytes()
+
+    def test_unreachable_tol_raises(self):
+        with pytest.raises(ValueError):
+            front_distribution(25, 1e-17)
+
     def test_strictly_decreasing_from_one(self):
         fd = front_distribution(20)
         assert np.all(np.diff(fd.probs[1:]) < 0)
@@ -285,18 +288,5 @@ class TestFrontDistribution:
     def test_stationarity_residual_rational(self):
         # |(Pi Q)_j| <= 10 * tail_bound for the closed-form Pi truncated at
         # K=30, computed in exact rationals (float cancellation would hide it)
-        K = 30
-        terms = 45
-        denom = 2 * j_partial(3, terms) + j_partial(0, terms)
-        probs = [j_partial(0, terms) / denom] + [
-            2 * (j_partial(n + 2, terms) - j_partial(n + 3, terms)) / denom
-            for n in range(1, K + 1)
-        ]
-        tail_bound = 2 * j_partial(K + 3, terms) / denom
-        for j in range(K - 2):
-            col = probs[j] * (-(j + 2))
-            if j >= 1:
-                col += probs[j - 1] * (2 if j == 1 else 1)
-            col += probs[j + 1] * 2
-            col += sum(probs[n] for n in range(j + 2, K + 1))
-            assert abs(col) <= 10 * tail_bound, j
+        name, ok, detail = checks.check_stationarity_residual(30)
+        assert ok, detail

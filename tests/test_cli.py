@@ -8,10 +8,8 @@ import pytest
 
 from ladder_fpp import chain
 from ladder_fpp.chain import QRow, q_row
+from ladder_fpp.checks import PI0_QUOTED, TABLE1_A, TABLE1_B
 from ladder_fpp.cli import main
-
-TABLE1_A = [3, 11, 56, 340, 2395, 19231, 173490, 1737706, 19136803]
-TABLE1_B = [1, 5, 26, 158, 1113, 8937, 80624, 807544, 8893225]
 
 
 def run_cli(argv, capsys):
@@ -47,7 +45,7 @@ class TestExact:
         recs = {r["quantity"]: r for r in json.loads(out)["records"]}
         assert set(recs) == {"pi0", "tau", "T"}
         assert recs["T"]["value"] < recs["tau"]["value"]
-        assert abs(recs["pi0"]["value"] - 0.4647184275) < 1e-9
+        assert abs(recs["pi0"]["value"] - PI0_QUOTED) < 1e-9
 
     def test_pi_n_sum(self, capsys):
         rc, out = run_cli(
@@ -81,13 +79,15 @@ class TestExact:
             "ladder-fpp: error: --tol 1e-300 is below the double-precision "
             "floor of pi0; use --tol 1e-15 or more\n"
         )
-        run_cli_expecting_exit(["exact", "--tol", "1e-14", "--which", "T"], 2)
+        run_cli_expecting_exit(["exact", "--tol", "2e-15", "--which", "T"], 2)
         assert capsys.readouterr().err == (
-            "ladder-fpp: error: --tol 1e-14 is below the double-precision "
-            "floor of T; use --tol 2e-13 or more\n"
+            "ladder-fpp: error: --tol 2e-15 is below the double-precision "
+            "floor of T; use --tol 5e-15 or more\n"
         )
-        # the suggested floor is reachable
+        # the suggested floors are reachable
         rc, _ = run_cli(["exact", "--tol", "1e-15", "--which", "pi0"], capsys)
+        assert rc == 0
+        rc, _ = run_cli(["exact", "--tol", "5e-15", "--which", "T"], capsys)
         assert rc == 0
 
     def test_bad_tol_usage_error(self):
@@ -187,7 +187,7 @@ class TestSimulate:
     def test_fpp_single_initial(self, capsys):
         rc, out = run_cli(
             ["simulate", "--mode", "fpp", "--height", "1000", "--seed", "3",
-             "--initial", "single", "--format", "json"],
+             "--replicates", "2", "--initial", "single", "--format", "json"],
             capsys,
         )
         rec = json.loads(out)["records"][0]
@@ -267,29 +267,40 @@ class TestSimulate:
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_nonpositive_jobs_usage_error(self, jobs, capsys):
         assert_usage_error(
-            ["simulate", "--mode", "fpp", "--height", "10", "--seed", "1", "--jobs", jobs],
+            ["simulate", "--mode", "fpp", "--height", "10", "--seed", "1",
+             "--replicates", "2", "--jobs", jobs],
             capsys,
         )
         assert_usage_error(["validate", "quick", "--jobs", jobs], capsys)
 
     def test_jobs_env_not_an_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("LADDER_FPP_JOBS", "two")
-        assert_usage_error(["simulate", "--mode", "fpp", "--height", "10", "--seed", "1"],
-                           capsys)
+        assert_usage_error(["simulate", "--mode", "fpp", "--height", "10", "--seed", "1",
+                            "--replicates", "2"], capsys)
         assert_usage_error(["validate", "quick"], capsys)
         # commands that run no replicates do not read it
         rc, out = run_cli(["exact", "--which", "tau"], capsys)
         assert rc == 0 and "0.682725076122" in out
         # an explicit --jobs takes precedence over the environment
         rc, _ = run_cli(["simulate", "--mode", "fpp", "--height", "10", "--seed", "1",
-                         "--jobs", "1"], capsys)
+                         "--replicates", "2", "--jobs", "1"], capsys)
         assert rc == 0
 
-    def test_replicates_front_rejected(self):
+    @pytest.mark.parametrize("extra", [[], ["--replicates", "1"], ["--replicates", "0"]])
+    def test_fpp_single_replicate_usage_error(self, extra, capsys):
+        # one replicate has no standard error; the run must not print "± 0"
         run_cli_expecting_exit(
-            ["simulate", "--mode", "front", "--t-max", "100", "--seed", "1",
-             "--replicates", "2"], 2
-        )
+            ["simulate", "--mode", "fpp", "--height", "50", "--seed", "1"] + extra, 2)
+        assert capsys.readouterr().err == (
+            "ladder-fpp: error: --mode fpp requires --replicates N >= 2 "
+            "(a standard error needs two replicates)\n")
+
+    def test_replicates_front_rejected(self):
+        for reps in ("2", "1"):
+            run_cli_expecting_exit(
+                ["simulate", "--mode", "front", "--t-max", "100", "--seed", "1",
+                 "--replicates", reps], 2
+            )
 
 
 class TestValidate:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ladder_fpp.chain import pi, pi0
+from ladder_fpp.checks import T_QUOTED, TAU_QUOTED
 from ladder_fpp.constants import (
     avg_residual_time,
     avg_residual_time_direct,
@@ -13,8 +14,6 @@ from ladder_fpp.constants import (
     time_constant,
 )
 
-TAU_QUOTED = 0.6827250759
-T_QUOTED = 0.5953444665
 TAU_REF = 0.682725076121934
 T_REF = 0.5953444665764402
 
