@@ -19,7 +19,7 @@ Exponentials are drawn by inverse CDF, -log1p(-U) with U uniform on [0, 1).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
@@ -44,6 +44,11 @@ __all__ = [
 
 STATE_CAP = 10 ** 6  # front state this large signals a bug, not an excursion
 _CHUNK = 1 << 16
+# mean events of the front chain per unit time, sum_n pi_n (n + 2) = 2.7115,
+# and per height increment, that times tau = 1.8512; they presize its storage
+_EVENTS_PER_TIME = 2.712
+_EVENTS_PER_STEP = 1.852
+_PRESIZE_CAP = 1 << 23  # events presized at most (210 MB); past it, doubling
 
 
 def make_stream(seed: int, replicate: int = 0) -> np.random.Generator:
@@ -85,7 +90,8 @@ class SimConfig:
 class ChainTrajectory:
     """Front-chain path as parallel event arrays.
 
-    Event i: the chain sat in `states[i]` for `holding_times[i]`, then jumped;
+    Event i: the chain sat in `states[i]` for `holding_times[i]`, then jumped
+    at `jump_times[i]` (the running sum of the holding times);
     `height_incremented[i]` marks jumps that raised the infection height
     (exactly the n -> n+1 transitions, including 0 -> 1).
     """
@@ -93,26 +99,25 @@ class ChainTrajectory:
     states: np.ndarray
     holding_times: np.ndarray
     height_incremented: np.ndarray
+    jump_times: np.ndarray
     total_time: float
     final_height: int
     final_state: int
     initial_state: int = 0
-    _jump_times: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_events(self) -> int:
         return len(self.states)
 
-    @property
-    def jump_times(self) -> np.ndarray:
-        if self._jump_times is None:
-            self._jump_times = np.cumsum(self.holding_times)
-        return self._jump_times
 
-    def events(self):
-        """Iterate (state_before, holding_time, height_incremented) tuples."""
-        for s, h, u in zip(self.states, self.holding_times, self.height_incremented):
-            yield int(s), float(h), bool(u)
+def _expected_events(cfg: SimConfig) -> int:
+    """Storage to reserve for a chain run: the mean event count plus 1% and
+    1024, capped at `_PRESIZE_CAP`; a run that needs more grows by doubling."""
+    if cfg.t_max is not None:
+        mean = _EVENTS_PER_TIME * cfg.t_max
+    else:
+        mean = _EVENTS_PER_STEP * cfg.target_height
+    return int(min(1.01 * mean + 1024, _PRESIZE_CAP))
 
 
 def simulate_front_chain(cfg: SimConfig, replicate: int = 0) -> ChainTrajectory:
@@ -120,64 +125,79 @@ def simulate_front_chain(cfg: SimConfig, replicate: int = 0) -> ChainTrajectory:
 
     Runs until total time exceeds cfg.t_max (the straddling holding interval
     is kept in full) or until cfg.target_height increments have occurred.
+
+    Event k of a chunk consumes the k-th holding draw and the k-th jump draw
+    whatever the state, so the Python loop runs only the state recursion over
+    a whole chunk.  numpy then takes the holding times (correctly rounded
+    division, as in scalar code), the clock (a sequential cumsum seeded with
+    the carried time, the same additions as `t += dt`), the height increments
+    and the first event that meets the stopping rule, and drops the rest of
+    the chunk.  The clock is the trajectory's `jump_times`.
     """
     if cfg.mode != "front_chain":
         raise ValueError("cfg.mode must be 'front_chain'")
     rng = make_stream(cfg.seed, replicate)
-    e_hold = (-np.log1p(-rng.random(_CHUNK))).tolist()
-    u_jump = rng.random(_CHUNK).tolist()
-    ptr = 0
-    cap = 1 << 16
-    states = np.empty(cap, np.int64)
-    holds = np.empty(cap, np.float64)
-    incr = np.empty(cap, np.bool_)
+    cap = _expected_events(cfg)
+    store = [np.empty(cap, dtype) for dtype in (np.int64, np.float64, np.bool_, np.float64)]
     n_ev = 0
     t = 0.0
     s = 0
     height = 0
-    t_max = cfg.t_max if cfg.t_max is not None else np.inf
-    h_target = cfg.target_height if cfg.target_height is not None else None
     while True:
-        if ptr == _CHUNK:
-            e_hold = (-np.log1p(-rng.random(_CHUNK))).tolist()
-            u_jump = rng.random(_CHUNK).tolist()
-            ptr = 0
-        if n_ev == cap:
-            cap *= 2
-            states = np.resize(states, cap)
-            holds = np.resize(holds, cap)
-            incr = np.resize(incr, cap)
-        rate = s + 2
-        dt = e_hold[ptr] / rate
-        if s == 0:
-            nxt, up = 1, True
-        else:
-            r = u_jump[ptr] * rate
-            if r < 1.0:
-                nxt, up = s + 1, True
-            elif r < 3.0:
-                nxt, up = s - 1, False
+        e_hold = -np.log1p(-rng.random(_CHUNK))
+        path = [s]
+        push = path.append
+        for r in memoryview(rng.random(_CHUNK)):  # yields Python floats, no list
+            if s:
+                r *= s + 2
+                if r < 1.0:
+                    s += 1
+                elif r < 3.0:
+                    s -= 1
+                else:
+                    s = int(r - 3.0)
             else:
-                nxt, up = int(r - 3.0), False
-        ptr += 1
-        states[n_ev] = s
-        holds[n_ev] = dt
-        incr[n_ev] = up
-        n_ev += 1
-        t += dt
-        s = nxt
-        if up:
-            height += 1
-        if s >= STATE_CAP:
+                s = 1
+            push(s)
+        visited = np.fromiter(path, np.int64, _CHUNK + 1)
+        before, after = visited[:-1], visited[1:]
+        up = after == before + 1  # every other jump lands below the state it left
+        dt = e_hold / (before + 2)
+        clock = dt.copy()
+        clock[0] += t
+        np.cumsum(clock, out=clock)
+        # index of the event that ends the run; _CHUNK if it is not in this chunk
+        if cfg.t_max is not None:
+            stop = int(np.searchsorted(clock, cfg.t_max, side="right"))
+        else:
+            ups = np.flatnonzero(up)
+            need = cfg.target_height - height
+            stop = int(ups[need - 1]) if need <= len(ups) else _CHUNK
+        keep = min(stop + 1, _CHUNK)
+        over = after[:keep] >= STATE_CAP
+        if over.any():
             raise RuntimeError(
-                f"front state reached {s}; excursions this large are impossible "
-                "for a working generator"
+                f"front state reached {after[over.argmax()]}; excursions this large are "
+                "impossible for a working generator"
             )
-        if t > t_max or (h_target is not None and height >= h_target):
+        if n_ev + keep > cap:
+            cap = max(2 * cap, n_ev + keep)
+            store = [_grown(a, n_ev, cap) for a in store]
+        for a, chunk in zip(store, (before, dt, up, clock)):
+            a[n_ev:n_ev + keep] = chunk[:keep]
+        n_ev += keep
+        t = float(clock[keep - 1])
+        height += int(np.count_nonzero(up[:keep]))
+        if stop < _CHUNK:
             break
-    return ChainTrajectory(
-        states[:n_ev].copy(), holds[:n_ev].copy(), incr[:n_ev].copy(), t, height, s
-    )
+    states, holds, incr, jumps = (a[:n_ev] for a in store)
+    return ChainTrajectory(states, holds, incr, jumps, t, height, int(after[keep - 1]))
+
+
+def _grown(a: np.ndarray, n: int, cap: int) -> np.ndarray:
+    out = np.empty(cap, a.dtype)
+    out[:n] = a[:n]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +240,22 @@ class FppRecord:
 
 def _by_level(flat: array | bytearray, dtype) -> np.ndarray:
     """Reorder storage indexed by v = 2x + y, in place, into a C-contiguous
-    (2, size) array over the same buffer."""
+    (2, size) array over the same buffer.
+
+    Level 1 is copied out (the one temporary, half the buffer).  Level 0 is
+    then compacted forward in blocks [x, 2x), whose sources [2x, 4x) lie past
+    every entry written so far, and level 1 is written back behind it.
+    """
     a = np.frombuffer(flat, dtype=dtype)
-    a[:] = a.reshape(-1, 2).T.ravel()
-    return a.reshape(2, -1)
+    size = len(a) // 2
+    level1 = a[1::2].copy()
+    x = 1
+    while x < size:
+        hi = min(2 * x, size)
+        a[x:hi] = a[2 * x:2 * hi:2]
+        x = hi
+    a[size:] = level1
+    return a.reshape(2, size)
 
 
 def simulate_fpp_ladder(cfg: SimConfig, replicate: int = 0) -> FppRecord:

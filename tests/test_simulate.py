@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ladder_fpp import simulate
 from ladder_fpp.chain import pi, pi0, q_row
 from ladder_fpp.constants import gamma_residual, time_constant
 from ladder_fpp.simulate import (
@@ -37,6 +38,59 @@ PINNED_H2000 = {
     (2026, "both_nodes"): "c1c05c1f7347d872e4828c74ad0e226250d0bf20c883c566a051cdcbdc2e7927",
     (2026, "single_node"): "2aa92c531447cb8f8d97df9552d84b35058156f53a2574231670d8eb67463427",
 }
+
+
+# sha256 of the bytes of states, holding_times and height_incremented, then
+# of repr((total_time, final_height, final_state)); recorded from the earlier
+# implementation that stepped the clock and height event by event.  t_max
+# 24150/24200 and target_height 35400/35450 end on either side of the first
+# 2^16-event chunk boundary; (5, target_height 35400, 0) ends on it exactly
+PINNED_CHAIN = {
+    (5, "t_max", 0.3, 0): "92055af5728e3444d14f3c14d79eb0dd98339df90d58d140bd1ba4e77bcdf8dd",
+    (5, "t_max", 0.3, 3): "98ea971325b8ce319dc60ed197c9704d69a24f35f43e1489e13a7c3405dd1908",
+    (5, "t_max", 24150.0, 0): "e72e51c2ca4de5c37af76a1796a42e79d9d010d2f5d9cefbd5c16571588e7837",
+    (5, "t_max", 24150.0, 3): "8b7d8f8cbee74609c59ceb63f314aeaf15275d66eef44c8c67d1e019c73a150c",
+    (5, "t_max", 24200.0, 0): "7b6ff8c83e70b061b27e4446853d535cc1b0021a679a70458d7afa0348727d9d",
+    (5, "t_max", 24200.0, 3): "4b8733a65112fed1af0194b06b3feec160aad9736d88fb51c9a3b1140982151c",
+    (5, "t_max", 10000.0, 0): "9dc85be05f47b6b844a210063eeb85757d41e8c0fbd0402d536c2339f71ecf29",
+    (5, "t_max", 10000.0, 3): "ee2f2691a4fbb244a03b9d75ddce0e2dc34a7de808420d0a4b31f1830cb5c1f5",
+    (5, "target_height", 1, 0): "92055af5728e3444d14f3c14d79eb0dd98339df90d58d140bd1ba4e77bcdf8dd",
+    (5, "target_height", 1, 3): "98ea971325b8ce319dc60ed197c9704d69a24f35f43e1489e13a7c3405dd1908",
+    (5, "target_height", 35400, 0): "1545d5ca07cbabffaf7243d7f5caf0a5526c983e9ce1805d74e979af4b5a5f6d",
+    (5, "target_height", 35400, 3): "06b2d8669dd5162670e8be1b548b5579427ca28c64efe8270b81e39b5f1b2c66",
+    (5, "target_height", 35450, 0): "eedd18eb0a906a3bb2a460f6545efd2a2b9dc340df89ce01e623524adc00c5d2",
+    (5, "target_height", 35450, 3): "4fe83f2d70132e82694e8ccf7ec10c9dd0a9c1dbf8ff1f89bcb5a9e545322c24",
+    (2026, "t_max", 0.3, 0): "3b7cd2483c036a50ecedf7945ba4aaa3e9a2e0ce0c38223249291f786c7c3f83",
+    (2026, "t_max", 0.3, 3): "b2ca87a06397ab68e21e8e07883a59bc04ea1298b780f761eab755925f62c7df",
+    (2026, "t_max", 24150.0, 0): "0476958ed6d36962aaf9341fa4df3eb685facc6934e59b674117ef7bd5b5f535",
+    (2026, "t_max", 24150.0, 3): "90610ed497acfeb0d8a7c54184ca7ae55e0a837555fa511d93b8cd79b778a4bf",
+    (2026, "t_max", 24200.0, 0): "3555cadb6f35978cd741f780b79ebdc4c6416c03f3a2b78499eb17aaa4532a33",
+    (2026, "t_max", 24200.0, 3): "6ba65dc05b653d24bb8b4a8fbecc91e235d9300bec02dc6ae30b14f87178b9ca",
+    (2026, "t_max", 10000.0, 0): "34e5cb6c58504da3f63a2738895b836bd41c5f7a99e9143defc6877af3870a8c",
+    (2026, "t_max", 10000.0, 3): "842f33f9cd298926cfeda82d2d5138f4e93ebb014cc3b6baa7632b6f3e2ddb4b",
+    (2026, "target_height", 1, 0): "736cef4d118df19cc20c4132b92084b5ae7237dc72d0873fcc7db9c97b394569",
+    (2026, "target_height", 1, 3): "396e0655a99dfb8a12024d213296b99d44942189a277dfa2730637d552a59f5b",
+    (2026, "target_height", 35400, 0): "1da9c5f91fd9f20f0b0668c7f0ca3748950d1441f4dc798dc61a5784920cdfc9",
+    (2026, "target_height", 35400, 3): "e8eba83e39b2176c285cd37e1c06464a67e37fa5c48a5b2f91765044b941eb52",
+    (2026, "target_height", 35450, 0): "93660adebbbadc4fb890405906bee5eab69e2ce6616c8ce8e23c771c24c96fae",
+    (2026, "target_height", 35450, 3): "3b9f20f773a496e63bb3311563efac5cfb0b3d48ac6496cf5fbc5c832630e878",
+}
+
+
+def chain_digest(traj: ChainTrajectory) -> str:
+    h = hashlib.sha256()
+    for a in (traj.states, traj.holding_times, traj.height_incremented):
+        h.update(a.tobytes())
+    h.update(repr((traj.total_time, traj.final_height, traj.final_state)).encode())
+    return h.hexdigest()
+
+
+def check_pinned_chain(key) -> None:
+    seed, kind, value, replicate = key
+    cfg = SimConfig(seed=seed, mode="front_chain", **{kind: value})
+    traj = simulate_front_chain(cfg, replicate=replicate)
+    assert chain_digest(traj) == PINNED_CHAIN[key], key
+    assert traj.jump_times.tobytes() == np.cumsum(traj.holding_times).tobytes()
 
 
 def record_digest(rec: FppRecord) -> str:
@@ -147,9 +201,25 @@ class TestFrontChain:
         assert est.quantity == "inv_tau"
         assert abs(est.mean - expect) <= 4 * est.std_err
 
-    def test_events_iterator(self, medium_traj):
-        first = next(medium_traj.events())
-        assert first[0] == 0 and first[1] > 0 and first[2] is True
+    def test_first_event(self, medium_traj):
+        traj = medium_traj
+        assert traj.states[0] == 0 and traj.holding_times[0] > 0
+        assert traj.height_incremented[0]
+
+    @pytest.mark.parametrize("key", sorted(PINNED_CHAIN))
+    def test_pinned_digest(self, key):
+        check_pinned_chain(key)
+
+    def test_growth_path_pinned(self, monkeypatch):
+        # storage presized for one event grows by doubling to the same paths
+        monkeypatch.setattr(simulate, "_expected_events", lambda cfg: 1)
+        for key in PINNED_CHAIN:
+            check_pinned_chain(key)
+
+    def test_state_cap(self, monkeypatch):
+        monkeypatch.setattr(simulate, "STATE_CAP", 3)
+        with pytest.raises(RuntimeError, match="^front state reached 3; excursions"):
+            simulate_front_chain(SimConfig(seed=5, mode="front_chain", t_max=1e4))
 
 
 class TestOccupation:
