@@ -17,8 +17,6 @@ from .bessel import (
 from .chain import (
     FrontDistribution,
     QRow,
-    RecursionReport,
-    check_sequence_recursions,
     front_distribution,
     pi,
     pi0,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal, Inexact
-from fractions import Fraction
 from itertools import count, islice
 from typing import Iterator
 
@@ -30,7 +29,6 @@ from .bessel import EXACT, BoundedReal, bessel_j, upsilon, upsilon_terms
 __all__ = [
     "QRow",
     "FrontDistribution",
-    "RecursionReport",
     "q_row",
     "seq",
     "seq_via_upsilon",
@@ -39,7 +37,6 @@ __all__ = [
     "pi",
     "front_distribution",
     "stationary_truncated_solve",
-    "check_sequence_recursions",
     "SEQ_INDEX_CAP",
 ]
 
@@ -257,46 +254,3 @@ def stationary_truncated_solve(K: int) -> FrontDistribution:
     except np.linalg.LinAlgError as exc:  # signals a Q-construction bug
         raise RuntimeError("truncated balance system is singular; q_row is broken") from exc
     return FrontDistribution(x, _tail_bound(K), K, method="truncated_solve")
-
-
-# ---------------------------------------------------------------------------
-# Recursion checks on the sequences (exact arithmetic).
-
-
-@dataclass(frozen=True)
-class RecursionReport:
-    """Outcome of the exact recursion checks up to index n_max."""
-
-    n_max: int
-    first_order_ok: bool  # c_n = (c_{n+1}-c_n)/(n+1) - (c_n-c_{n-1})/n, n >= 2
-    difference_ok: bool  # C_{n+1} + C_{n-1} = (n+2)*C_n for C_n = (c_n-c_{n-1})/n, n >= 3
-    n_checked: int
-    failures: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.first_order_ok and self.difference_ok
-
-
-def check_sequence_recursions(N: int) -> RecursionReport:
-    """Verify both sequence recursions exactly up to index N (N >= 4).
-
-    The first-order identity involves divisions by n and n+1 and is checked
-    in rationals; the difference-sequence identity is pure integers.
-    """
-    if N < 4:
-        raise ValueError("N must be >= 4")
-    failures = []
-    for kind in ("a", "b"):
-        c = [None, *map(int, islice(_coefficients(kind), N))]  # c[n] = c_n for n = 1..N
-        for n in range(2, N):
-            if Fraction(c[n]) != Fraction(c[n + 1] - c[n], n + 1) - Fraction(c[n] - c[n - 1], n):
-                failures.append((kind, "first_order", n))
-        C = {n: Fraction(c[n] - c[n - 1], n) for n in range(2, N + 1)}
-        for n in range(3, N):
-            if C[n + 1] + C[n - 1] != (n + 2) * C[n]:
-                failures.append((kind, "difference", n))
-    n_checked = 2 * ((N - 2) + max(0, N - 3))
-    broken = {f[1] for f in failures}
-    return RecursionReport(N, "first_order" not in broken, "difference" not in broken,
-                           n_checked, tuple(failures))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Inexact
 from fractions import Fraction
 from itertools import islice
 
@@ -97,14 +98,32 @@ def check_two_route_sequences(n_max: int = 200) -> CheckResult:
 
 
 def check_sequence_recursions(n_max: int = 200) -> CheckResult:
-    rep = chain.check_sequence_recursions(n_max)
-    return (
-        "sequence_recursions",
-        rep.ok,
-        f"first-order and difference recursions exact to n={n_max}"
-        if rep.ok
-        else f"failures: {rep.failures[:3]}",
-    )
+    """Both recursions of c_n = a_n and of c_n = b_n, exactly, up to n_max >= 4:
+
+        c_n = (c_{n+1} - c_n)/(n+1) - (c_n - c_{n-1})/n = C_{n+1} - C_n   (n >= 2)
+        C_{n+1} + C_{n-1} = (n+2)*C_n                                   (n >= 3)
+
+    with C_n = (c_n - c_{n-1})/n the A_n/B_n column of `chain.sequence_rows`,
+    which raises `decimal.Inexact` if a C_n is not an integer.
+    """
+    if n_max < 4:
+        raise ValueError("n_max must be >= 4")
+    try:
+        rows = list(chain.sequence_rows(n_max))
+    except Inexact as exc:
+        return "sequence_recursions", False, str(exc)
+    failures = []
+    for kind, col in (("a", 1), ("b", 2)):
+        c = [None] + [int(row[col]) for row in rows]  # c[n] = c_n
+        C = [None, None] + [int(row[col + 2]) for row in rows[1:]]  # C[n] = C_n, n >= 2
+        failures += [(kind, "first_order", n) for n in range(2, n_max)
+                     if c[n] != C[n + 1] - C[n]]
+        failures += [(kind, "difference", n) for n in range(3, n_max)
+                     if C[n + 1] + C[n - 1] != (n + 2) * C[n]]
+    if failures:
+        return "sequence_recursions", False, f"failures: {failures[:3]}"
+    return ("sequence_recursions", True,
+            f"first-order and difference recursions exact to n={n_max}")
 
 
 def check_upsilon_wronskian(n_max: int = 10) -> CheckResult:

@@ -155,16 +155,31 @@ def cmd_sequences(args) -> int:
 # simulate
 
 
+_DUMP_BLOCK = 1 << 12  # trajectory events turned into Python objects and text at a time
+
+
 def _dump_trajectory(traj: simulate.ChainTrajectory, path: str) -> None:
-    """CSV t,state,height: the state and height in force from time t onward."""
-    heights = np.cumsum(traj.height_incremented.astype(np.int64)).tolist()
-    after = traj.states[1:].tolist() + [traj.final_state]
-    jumps = traj.jump_times.tolist()
+    """CSV t,state,height: the state and height in force from time t onward.
+
+    Rows go out `_DUMP_BLOCK` events at a time, as the csv module wrote
+    them (repr() of each time, \\r\\n line ends); the height is carried
+    from block to block.
+    """
+    n = traj.n_events
+    row = "%r,%d,%d\r\n".__mod__
+    height = 0
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "state", "height"])
-        w.writerow([repr(0.0), traj.initial_state, 0])
-        w.writerows(zip(map(repr, jumps), after, heights))
+        fh.write("t,state,height\r\n" + row((0.0, traj.initial_state, 0)))
+        for i in range(0, n, _DUMP_BLOCK):
+            j = min(i + _DUMP_BLOCK, n)
+            heights = np.cumsum(traj.height_incremented[i:j], dtype=np.int64)
+            heights += height
+            height = int(heights[-1])
+            after = traj.states[i + 1:j + 1].tolist()
+            if j == n:
+                after.append(traj.final_state)
+            fh.write("".join(map(row, zip(traj.jump_times[i:j].tolist(), after,
+                                          heights.tolist()))))
 
 
 def cmd_simulate(args) -> int:

@@ -44,6 +44,7 @@ __all__ = [
 
 STATE_CAP = 10 ** 6  # front state this large signals a bug, not an excursion
 _CHUNK = 1 << 16
+_SIZE_SLACK = 64  # ladder columns allocated past the target height
 # mean events of the front chain per unit time, sum_n pi_n (n + 2) = 2.7115,
 # and per height increment, that times tau = 1.8512; they presize its storage
 _EVENTS_PER_TIME = 2.712
@@ -258,6 +259,11 @@ def _by_level(flat: array | bytearray, dtype) -> np.ndarray:
     return a.reshape(2, size)
 
 
+def _exp_draws(rng: np.random.Generator) -> list[float]:
+    """The stream's next `_CHUNK` Exp(1) draws, as Python floats."""
+    return (-np.log1p(-rng.random(_CHUNK))).tolist()
+
+
 def simulate_fpp_ladder(cfg: SimConfig, replicate: int = 0) -> FppRecord:
     """Multi-source Dijkstra over the ladder with Exp(1) weights drawn on
     first relaxation.
@@ -282,10 +288,10 @@ def simulate_fpp_ladder(cfg: SimConfig, replicate: int = 0) -> FppRecord:
         raise ValueError("fpp_dijkstra needs target_height")
     H = cfg.target_height
     rng = make_stream(cfg.seed, replicate)
-    buf = (-np.log1p(-rng.random(_CHUNK))).tolist()
+    buf = _exp_draws(rng)
     bp = 0
 
-    size = H + 1 + 64
+    size = H + 1 + _SIZE_SLACK
     inf_run = array("d", [np.inf])
     nan_run = array("d", [np.nan])
     rail = nan_run * (2 * size)
@@ -293,44 +299,38 @@ def simulate_fpp_ladder(cfg: SimConfig, replicate: int = 0) -> FppRecord:
     dist = inf_run * (2 * size)
     settled = bytearray(2 * size)
 
-    def draw() -> float:
-        nonlocal buf, bp
-        if bp == _CHUNK:
-            buf = (-np.log1p(-rng.random(_CHUNK))).tolist()
-            bp = 0
-        w = buf[bp]
-        bp += 1
-        return w
-
     heap = [(0.0, 0)]
     dist[0] = 0.0
     if cfg.initial == "both_nodes":
         dist[1] = 0.0
         heap.append((0.0, 1))
     top = 2 * (H + 1)  # v < top  <=>  x <= H
+    lim = 2 * size - 2  # v >= lim  <=>  x + 1 >= size
     remaining = top
-    horizon = 0.0
     while remaining:
         d, v = heappop(heap)
         if settled[v]:
             continue
         settled[v] = 1
-        horizon = d
         if v < top:
             remaining -= 1
-        x = v >> 1
-        if x + 1 >= size:
+        if v >= lim:
             rail.extend(nan_run * (2 * size))
             rung.extend(nan_run * size)
             dist.extend(inf_run * (2 * size))
             settled.extend(bytes(2 * size))
             size *= 2
+            lim = 2 * size - 2
+        # An edge is drawn when its first endpoint settles, in the order up
+        # rail, down rail, rung; its other endpoint, settling later, finds
+        # this one settled and never relaxes it again.
         u = v + 2
         if not settled[u]:
-            w = rail[v]
-            if w != w:
-                w = draw()
-                rail[v] = w
+            if bp == _CHUNK:
+                buf = _exp_draws(rng)
+                bp = 0
+            w = rail[v] = buf[bp]
+            bp += 1
             nd = d + w
             if nd < dist[u]:
                 dist[u] = nd
@@ -338,20 +338,22 @@ def simulate_fpp_ladder(cfg: SimConfig, replicate: int = 0) -> FppRecord:
         if v >= 2:
             u = v - 2
             if not settled[u]:
-                w = rail[u]
-                if w != w:
-                    w = draw()
-                    rail[u] = w
+                if bp == _CHUNK:
+                    buf = _exp_draws(rng)
+                    bp = 0
+                w = rail[u] = buf[bp]
+                bp += 1
                 nd = d + w
                 if nd < dist[u]:
                     dist[u] = nd
                     heappush(heap, (nd, u))
         u = v ^ 1
         if not settled[u]:
-            w = rung[x]
-            if w != w:
-                w = draw()
-                rung[x] = w
+            if bp == _CHUNK:
+                buf = _exp_draws(rng)
+                bp = 0
+            w = rung[v >> 1] = buf[bp]
+            bp += 1
             nd = d + w
             if nd < dist[u]:
                 dist[u] = nd
@@ -359,7 +361,7 @@ def simulate_fpp_ladder(cfg: SimConfig, replicate: int = 0) -> FppRecord:
     return FppRecord(
         infection_times=_by_level(dist, np.float64),
         settled=_by_level(settled, np.bool_),
-        horizon_time=horizon,
+        horizon_time=d,  # the last vertex settled
         target_height=H,
         initial=cfg.initial,
         rail_weights=_by_level(rail, np.float64),

@@ -7,7 +7,6 @@ import pytest
 from ladder_fpp import chain, checks
 from ladder_fpp.chain import (
     SEQ_INDEX_CAP,
-    check_sequence_recursions,
     front_distribution,
     pi,
     pi0,
@@ -129,8 +128,8 @@ class TestSequenceRows:
 
 class TestClaimRecursions:
     def test_report_to_9(self):
-        rep = check_sequence_recursions(9)
-        assert rep.ok
+        assert checks.check_sequence_recursions(9) == (
+            "sequence_recursions", True, "first-order and difference recursions exact to n=9")
         # worked instances from the difference tables
         assert (2395 - 340) // 5 - (340 - 56) // 4 == 340
         assert Fraction(26 - 5, 3) - Fraction(5 - 1, 2) == 5
@@ -138,11 +137,31 @@ class TestClaimRecursions:
         assert B[5] + B[3] == (4 + 2) * B[4] == 198
 
     def test_full_range(self):
-        assert check_sequence_recursions(200).ok
+        assert checks.check_sequence_recursions(200)[1]
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            check_sequence_recursions(3)
+            checks.check_sequence_recursions(3)
+
+    def test_reports_a_broken_recursion(self, monkeypatch):
+        rows = chain.sequence_rows
+
+        def broken(n_max):  # a_5 off by one, its difference column left alone
+            for row in rows(n_max):
+                yield (row[0], row[1] + (row[0] == 5), *row[2:])
+
+        monkeypatch.setattr(chain, "sequence_rows", broken)
+        assert checks.check_sequence_recursions(9) == (
+            "sequence_recursions", False, "failures: [('a', 'first_order', 5)]")
+
+    def test_reports_a_difference_that_is_not_an_integer(self, monkeypatch):
+        def broken(n_max):
+            raise decimal.Inexact("difference sequence not integral at n=5")
+            yield
+
+        monkeypatch.setattr(chain, "sequence_rows", broken)
+        assert checks.check_sequence_recursions(9) == (
+            "sequence_recursions", False, "difference sequence not integral at n=5")
 
 
 class TestClosedFormPi:

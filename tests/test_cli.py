@@ -244,6 +244,21 @@ class TestSimulate:
         # round-trip: times parse back to the exact floats written
         assert all(repr(float(r["t"])) == r["t"] for r in rows[:50])
 
+    # sha256 of the dump file for seed 7, recorded before the dump was
+    # written in blocks; t_max 5e4 gives 135,869 rows, more than one block
+    DUMP_DIGESTS = {
+        "200": "a748b5c2f4658d32260d08ef78694db801c189f2725fd2be703e1f9171e94b0a",
+        "5e4": "489a9d7539dd6dda30475f5a3ce582a0f6df0a253ab6c6213cc20d0dd091bd00",
+    }
+
+    @pytest.mark.parametrize("t_max", sorted(DUMP_DIGESTS))
+    def test_trajectory_dump_pinned(self, t_max, tmp_path, capsys):
+        path = tmp_path / "traj.csv"
+        rc, _ = run_cli(["simulate", "--mode", "front", "--t-max", t_max, "--seed", "7",
+                         "--dump-trajectory", str(path)], capsys)
+        assert rc == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DUMP_DIGESTS[t_max]
+
     def test_missing_seed(self):
         run_cli_expecting_exit(["simulate", "--mode", "fpp", "--height", "100"], 2)
 

@@ -38,6 +38,7 @@ PINNED_H2000 = {
     (2026, "both_nodes"): "c1c05c1f7347d872e4828c74ad0e226250d0bf20c883c566a051cdcbdc2e7927",
     (2026, "single_node"): "2aa92c531447cb8f8d97df9552d84b35058156f53a2574231670d8eb67463427",
 }
+PINNED_SIZE = 2000 + 1 + 64  # columns of those records: H + 1 and 64 of slack
 
 
 # sha256 of the bytes of states, holding_times and height_incremented, then
@@ -93,10 +94,11 @@ def check_pinned_chain(key) -> None:
     assert traj.jump_times.tobytes() == np.cumsum(traj.holding_times).tobytes()
 
 
-def record_digest(rec: FppRecord) -> str:
+def record_digest(rec: FppRecord, size: int | None = None) -> str:
+    """sha256 of the record, over its first `size` columns if given."""
     h = hashlib.sha256()
     for a in (rec.infection_times, rec.settled, rec.rail_weights, rec.rung_weights):
-        h.update(a.tobytes())
+        h.update(a[..., :size].tobytes())
     h.update(repr(rec.horizon_time).encode())
     return h.hexdigest()
 
@@ -289,13 +291,43 @@ class TestFppLadder:
     def test_pinned_digest(self, seed, initial):
         cfg = SimConfig(seed=seed, mode="fpp_dijkstra", target_height=2000, initial=initial)
         rec = simulate_fpp_ladder(cfg)
-        size = 2000 + 1 + 64
+        size = PINNED_SIZE
         for a, dtype, shape in ((rec.infection_times, np.float64, (2, size)),
                                 (rec.settled, np.bool_, (2, size)),
                                 (rec.rail_weights, np.float64, (2, size)),
                                 (rec.rung_weights, np.float64, (size,))):
             assert a.dtype == dtype and a.shape == shape and a.flags.c_contiguous
         assert record_digest(rec) == PINNED_H2000[(seed, initial)]
+
+    # slack 0 grows the storage once, from 2001 to 4002 columns; slack -1968
+    # starts from 33 columns and doubles them six times, to 2112
+    @pytest.mark.parametrize("slack", [0, -1968])
+    def test_growth_path_pinned(self, slack, monkeypatch):
+        monkeypatch.setattr(simulate, "_SIZE_SLACK", slack)
+        for (seed, initial), digest in PINNED_H2000.items():
+            cfg = SimConfig(seed=seed, mode="fpp_dijkstra", target_height=2000,
+                            initial=initial)
+            rec = simulate_fpp_ladder(cfg)
+            assert rec.settled.shape[1] > PINNED_SIZE
+            assert record_digest(rec, PINNED_SIZE) == digest
+            # nothing past the pinned columns was reached
+            assert not rec.settled[:, PINNED_SIZE:].any()
+            assert np.isinf(rec.infection_times[:, PINNED_SIZE:]).all()
+            assert np.isnan(rec.rail_weights[:, PINNED_SIZE:]).all()
+            assert np.isnan(rec.rung_weights[PINNED_SIZE:]).all()
+
+    @pytest.mark.parametrize("initial", ["both_nodes", "single_node"])
+    def test_edges_drawn_exactly_at_settled_endpoints(self, initial):
+        # the relaxation loop draws each edge once, when its first endpoint
+        # settles, without checking whether it was drawn before
+        for seed, height in ((5, 2000), (2026, 2000), (3, 7), (4, 1)):
+            cfg = SimConfig(seed=seed, mode="fpp_dijkstra", target_height=height,
+                            initial=initial)
+            rec = simulate_fpp_ladder(cfg)
+            s = rec.settled
+            assert np.array_equal(~np.isnan(rec.rail_weights[:, :-1]), s[:, :-1] | s[:, 1:])
+            assert np.isnan(rec.rail_weights[:, -1]).all() and not s[:, -1].any()
+            assert np.array_equal(~np.isnan(rec.rung_weights), s[0] | s[1])
 
     def test_height_one_against_brute_force(self):
         # every sampled edge, exhaustively relaxed by an independent solver
