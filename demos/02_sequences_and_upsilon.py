@@ -7,7 +7,8 @@ integer-valued cross-product Upsilon(n+2, m) = pi [J_{n+2} Y_m - J_m Y_{n+2}]
 at argument 2.  Two entirely different recursions, one table.
 """
 
-from ladder_fpp import seq, seq_via_upsilon, upsilon, upsilon_analytic
+from ladder_fpp import seq, upsilon, upsilon_analytic
+from ladder_fpp.chain import sequence_rows
 
 print(f"{'n':>3} {'a_n':>12} {'b_n':>12} {'A_n':>10} {'B_n':>10} "
       f"{'Ups(n+2,0)':>11} {'2Ups(n+2,3)+Ups(n+2,0)':>23}")
@@ -23,8 +24,11 @@ for n in range(1, 10):
 
 print()
 print("two routes to the same integers (recursion vs Upsilon differences):")
+# a_n, b_n, Ups(n+2,0) and the combination column of the table above, as ints
+rows = [[int(v) for v in (a, b, u0, combo)] for _, a, b, _, _, u0, combo in sequence_rows(201)]
 for n in (1, 2, 50, 200):
-    same = all(seq(k, n) == seq_via_upsilon(k, n) for k in ("a", "b"))
+    (a_n, b_n, u0, combo), nxt = rows[n - 1], rows[n]
+    same = a_n == nxt[3] - combo and b_n == nxt[2] - u0
     print(f"  n = {n:>3}: recursion == Upsilon route -> {same}")
 
 print()

@@ -6,13 +6,10 @@ algebra and Monte Carlo simulation).
 
 from .bessel import (
     BoundedReal,
-    EULER_GAMMA,
     bessel_j,
     bessel_y,
-    harmonic,
     upsilon,
     upsilon_analytic,
-    upsilon_run,
 )
 from .chain import (
     FrontDistribution,
@@ -22,7 +19,6 @@ from .chain import (
     pi0,
     q_row,
     seq,
-    seq_via_upsilon,
     stationary_truncated_solve,
 )
 from .constants import (

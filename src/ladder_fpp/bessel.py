@@ -23,13 +23,10 @@ from typing import Iterator
 __all__ = [
     "BoundedReal",
     "EXACT",
-    "EULER_GAMMA",
     "PI",
     "bessel_j",
     "bessel_y",
-    "harmonic",
     "upsilon",
-    "upsilon_run",
     "upsilon_terms",
     "upsilon_analytic",
 ]
@@ -142,15 +139,13 @@ class BoundedReal:
         return f"BoundedReal({self.value!r} ± {self.err:.3e})"
 
 
-EULER_GAMMA = BoundedReal(float(EULER_GAMMA_30), _EULER_GAMMA_ERR)
+_EULER_GAMMA = BoundedReal(float(EULER_GAMMA_30), _EULER_GAMMA_ERR)
 # math.pi is the correctly rounded double; |math.pi - pi| < 2.3e-16.
 PI = BoundedReal(math.pi, 2.3e-16)
 
 
-def harmonic(m: int) -> Fraction:
-    """Exact harmonic number sum_{j=1}^{m} 1/j, with harmonic(0) = 0."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
+def _harmonic(m: int) -> Fraction:
+    """Exact harmonic number sum_{j=1}^{m} 1/j, with _harmonic(0) = 0."""
     return sum((Fraction(1, j) for j in range(1, m + 1)), Fraction(0))
 
 
@@ -251,7 +246,7 @@ def bessel_y(n: int, tol: float | None) -> BoundedReal:
     if tol is not None and not tol > 0.0:
         raise ValueError("tol must be > 0")
     jn = bessel_j(n, None)
-    two_gamma_jn = 2.0 * EULER_GAMMA * jn
+    two_gamma_jn = 2.0 * _EULER_GAMMA * jn
     finite = BoundedReal.from_fraction(_y_finite_sum(n))
 
     stop = 2.0 ** -56 if tol is None else min(tol / 4.0, 2.0 ** -56)
@@ -259,7 +254,7 @@ def bessel_y(n: int, tol: float | None) -> BoundedReal:
     k = 0
     denom = math.factorial(n)
     h_k = 0.0
-    h_nk = float(harmonic(n))
+    h_nk = float(_harmonic(n))
     sign = 1.0
     while True:
         terms.append(sign * _over(h_k + h_nk, denom))
@@ -316,13 +311,6 @@ def upsilon(n: int, m: int) -> int:
     if n < m:
         return -upsilon(m, n)
     return int(next(islice(upsilon_terms(m), n - m, None)))
-
-
-def upsilon_run(m: int, n_hi: int) -> list[int]:
-    """[Upsilon(m, m), Upsilon(m+1, m), ..., Upsilon(n_hi, m)] in one pass."""
-    if m < 0 or n_hi < m:
-        raise ValueError("need 0 <= m <= n_hi")
-    return [int(v) for v in islice(upsilon_terms(m), n_hi - m + 1)]
 
 
 def upsilon_analytic(n: int, m: int) -> BoundedReal:

@@ -24,14 +24,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .bessel import EXACT, BoundedReal, bessel_j, upsilon, upsilon_terms
+from .bessel import EXACT, BoundedReal, bessel_j, upsilon_terms
 
 __all__ = [
     "QRow",
     "FrontDistribution",
     "q_row",
     "seq",
-    "seq_via_upsilon",
     "sequence_rows",
     "pi0",
     "pi",
@@ -131,32 +130,8 @@ def seq(kind: str, n: int) -> int:
     return int(next(islice(_coefficients(kind), n - 1, None)))
 
 
-def seq_via_upsilon(kind: str, n: int) -> int:
-    """Second route to a_n/b_n through Upsilon:
-
-        b_n = Upsilon(n+3, 0) - Upsilon(n+2, 0)
-        a_n = 2*[Upsilon(n+3, 3) - Upsilon(n+2, 3)] + b_n
-
-    Must agree with `seq` exactly (checked for n = 1..200 in the test suite;
-    the identity is derived for n >= 2 and holds empirically at n = 1 too).
-    """
-    if kind not in ("a", "b"):
-        raise ValueError("kind must be 'a' or 'b'")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    b = upsilon(n + 3, 0) - upsilon(n + 2, 0)
-    if kind == "b":
-        return b
-    return 2 * (upsilon(n + 3, 3) - upsilon(n + 2, 3)) + b
-
-
 # ---------------------------------------------------------------------------
 # Stationary distribution: closed form.
-
-
-def _denominator(tol: float) -> BoundedReal:
-    # 2*J_3 + J_0 ~ 0.4818
-    return 2 * bessel_j(3, tol) + bessel_j(0, tol)
 
 
 def _pi_from_j(J: dict[int, BoundedReal], ns, tol: float) -> list[BoundedReal]:
@@ -208,7 +183,7 @@ class FrontDistribution:
 
 def _tail_bound(K: int) -> float:
     j = bessel_j(K + 3, 1e-15)
-    d = _denominator(1e-14)
+    d = 2 * bessel_j(3, 1e-14) + bessel_j(0, 1e-14)  # ~ 0.4818
     return 2.0 * (j.value + j.err) / (d.value - d.err)
 
 

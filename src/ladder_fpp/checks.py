@@ -42,16 +42,25 @@ UPSILON_0 = [1, 1, 1, 2, 7, 33, 191]  # Upsilon(n, 0)
 UPSILON_3_COMBO = [-3, -1, 1, 4, 15, 71, 411]  # 2*Upsilon(n, 3) + Upsilon(n, 0)
 
 
-def _j_fraction(n: int, terms: int = 40) -> Fraction:
-    """Rational partial sum of the J_n(2) series; error < 1/(terms! (n+terms)!)."""
+def _j_fraction(n: int) -> Fraction:
+    """Rational partial sum of the J_n(2) series; error < 1/(40! (n+40)!)."""
     return sum(
-        (Fraction((-1) ** k, math.factorial(k) * math.factorial(n + k)) for k in range(terms)),
+        (Fraction((-1) ** k, math.factorial(k) * math.factorial(n + k)) for k in range(40)),
         Fraction(0),
     )
 
 
-def check_generator_rows(n_max: int = 50) -> CheckResult:
-    for n in range(n_max + 1):
+def _pi_fractions(K: int) -> tuple[list[Fraction], Fraction]:
+    """pi_0..pi_K of the closed form in rationals, from `_j_fraction`, and the
+    tail mass 2 J_{K+3} / (2 J_3 + J_0) beyond K."""
+    J = {n: _j_fraction(n) for n in range(K + 4)}
+    denom = 2 * J[3] + J[0]
+    probs = [J[0] / denom] + [2 * (J[n + 2] - J[n + 3]) / denom for n in range(1, K + 1)]
+    return probs, 2 * J[K + 3] / denom
+
+
+def check_generator_rows() -> CheckResult:
+    for n in range(51):
         row = chain.q_row(n)
         if row.diagonal != -(n + 2):
             return "generator_rows", False, f"diagonal wrong at state {n}"
@@ -59,7 +68,7 @@ def check_generator_rows(n_max: int = 50) -> CheckResult:
             return "generator_rows", False, f"negative rate at state {n}"
         if sum(row.entries.values()) + row.diagonal != 0:
             return "generator_rows", False, f"row {n} does not sum to zero"
-    return "generator_rows", True, f"rows 0..{n_max} sum to zero, rates >= 0"
+    return "generator_rows", True, "rows 0..50 sum to zero, rates >= 0"
 
 
 def check_sequence_tables() -> CheckResult:
@@ -81,11 +90,13 @@ def check_sequence_tables() -> CheckResult:
     return "sequence_tables", True, "a_n, b_n, A_n, B_n and Upsilon columns match both tables exactly"
 
 
-def check_two_route_sequences(n_max: int = 200) -> CheckResult:
-    """a_n, b_n from their recursion against the Upsilon route of `chain.seq_via_upsilon`:
-    forward differences of the table's Upsilon columns.  One pass gives both."""
+def check_two_route_sequences() -> CheckResult:
+    """a_n, b_n for n = 1..200 from their recursion against the Upsilon route,
+    the forward differences of the table's Upsilon columns: b_n = Upsilon(n+3, 0)
+    - Upsilon(n+2, 0), and a_n the same difference of 2*Upsilon(., 3) + Upsilon(., 0).
+    One pass of `chain.sequence_rows` gives both routes."""
     rows = [[int(v) for v in (a, b, u0, u3)]
-            for _, a, b, _, _, u0, u3 in chain.sequence_rows(n_max + 1)]
+            for _, a, b, _, _, u0, u3 in chain.sequence_rows(201)]
     for n, ((a, b, u0, u3), nxt) in enumerate(zip(rows, rows[1:]), start=1):
         for kind, c, via in (("a", a, nxt[3] - u3), ("b", b, nxt[2] - u0)):
             if c != via:
@@ -93,12 +104,12 @@ def check_two_route_sequences(n_max: int = 200) -> CheckResult:
     return (
         "two_route_sequences",
         True,
-        f"recursion equals Upsilon route for n=1..{n_max} (n=1 included)",
+        "recursion equals Upsilon route for n=1..200 (n=1 included)",
     )
 
 
-def check_sequence_recursions(n_max: int = 200) -> CheckResult:
-    """Both recursions of c_n = a_n and of c_n = b_n, exactly, up to n_max >= 4:
+def check_sequence_recursions() -> CheckResult:
+    """Both recursions of c_n = a_n and of c_n = b_n, exactly, up to n = 200:
 
         c_n = (c_{n+1} - c_n)/(n+1) - (c_n - c_{n-1})/n = C_{n+1} - C_n   (n >= 2)
         C_{n+1} + C_{n-1} = (n+2)*C_n                                   (n >= 3)
@@ -106,8 +117,7 @@ def check_sequence_recursions(n_max: int = 200) -> CheckResult:
     with C_n = (c_n - c_{n-1})/n the A_n/B_n column of `chain.sequence_rows`,
     which raises `decimal.Inexact` if a C_n is not an integer.
     """
-    if n_max < 4:
-        raise ValueError("n_max must be >= 4")
+    n_max = 200
     try:
         rows = list(chain.sequence_rows(n_max))
     except Inexact as exc:
@@ -126,8 +136,8 @@ def check_sequence_recursions(n_max: int = 200) -> CheckResult:
             f"first-order and difference recursions exact to n={n_max}")
 
 
-def check_upsilon_wronskian(n_max: int = 10) -> CheckResult:
-    for n in range(n_max + 1):
+def check_upsilon_wronskian() -> CheckResult:
+    for n in range(11):
         if upsilon(n + 1, n) != 1:
             return "upsilon_wronskian", False, f"integer recursion gives {upsilon(n+1,n)} at n={n}"
         jn = bessel_j(n, None)
@@ -137,12 +147,12 @@ def check_upsilon_wronskian(n_max: int = 10) -> CheckResult:
         w = PI * (jn1 * yn - jn * yn1)
         if abs(w.value - 1.0) > min(max(w.err, 1e-12), 1e-9):
             return "upsilon_wronskian", False, f"series Wronskian off by {w.value - 1.0:.2e} at n={n}"
-    return "upsilon_wronskian", True, f"Upsilon(n+1,n)=1 and series Wronskian=1 for n<=({n_max})"
+    return "upsilon_wronskian", True, "Upsilon(n+1,n)=1 and series Wronskian=1 for n<=(10)"
 
 
-def check_upsilon_definition(m_max: int = 5, n_max: int = 12) -> CheckResult:
-    for m in range(m_max + 1):
-        for n in range(m, n_max + 1):
+def check_upsilon_definition() -> CheckResult:
+    for m in range(6):
+        for n in range(m, 13):
             ana = upsilon_analytic(n, m)
             if abs(ana.value - upsilon(n, m)) > ana.err:
                 return (
@@ -150,11 +160,11 @@ def check_upsilon_definition(m_max: int = 5, n_max: int = 12) -> CheckResult:
                     False,
                     f"analytic {ana.value} vs integer {upsilon(n, m)} at ({n},{m})",
                 )
-    return "upsilon_definition", True, f"analytic route matches integers for m<={m_max}, n<={n_max}"
+    return "upsilon_definition", True, "analytic route matches integers for m<=5, n<=12"
 
 
-def check_truncated_solve(K: int = 25) -> CheckResult:
-    sol = chain.stationary_truncated_solve(K)
+def check_truncated_solve() -> CheckResult:
+    sol = chain.stationary_truncated_solve(25)
     if abs(sol.probs[0] - PI0_QUOTED) > 1e-9:
         return "truncated_solve", False, f"pi_0 = {sol.probs[0]!r} vs quoted {PI0_QUOTED}"
     worst = 0.0
@@ -162,7 +172,7 @@ def check_truncated_solve(K: int = 25) -> CheckResult:
         worst = max(worst, abs(sol.probs[n] - chain.pi(n, 1e-13).value))
     if worst > 1e-10:
         return "truncated_solve", False, f"max gap to closed form {worst:.2e} > 1e-10"
-    return "truncated_solve", True, f"K={K} solve matches closed form within {worst:.1e}"
+    return "truncated_solve", True, f"K=25 solve matches closed form within {worst:.1e}"
 
 
 def check_exact_constants() -> CheckResult:
@@ -219,17 +229,15 @@ def check_residual_series() -> CheckResult:
             f"{abs(fl - T_QUOTED):.2e} of quoted T")
 
 
-def check_stationarity_residual(K: int = 30) -> CheckResult:
-    """|(Pi Q)_j| for the closed-form Pi, in exact rationals.
+def check_stationarity_residual() -> CheckResult:
+    """|(Pi Q)_j| for the closed-form Pi truncated at K = 30, in exact rationals.
 
     Uses rational J-series partial sums (truncation ~1e-100), so the residual
     in column j is exactly the mass the truncation at K drops, which is below
     10x the analytic tail bound.
     """
-    J = {n: _j_fraction(n) for n in range(K + 4)}
-    denom = 2 * J[3] + J[0]
-    probs = [J[0] / denom] + [2 * (J[n + 2] - J[n + 3]) / denom for n in range(1, K + 1)]
-    tail_bound = 2 * J[K + 3] / denom
+    K = 30
+    probs, tail_bound = _pi_fractions(K)
     for j in range(K - 2):
         col = probs[j] * (-(j + 2))
         if j >= 1:
@@ -245,17 +253,15 @@ def check_stationarity_residual(K: int = 30) -> CheckResult:
     )
 
 
-def check_normalization(N: int = 20) -> CheckResult:
-    """Telescoping identity sum_0^N pi_j = 1 - 2 J_{N+3}/(2J_3+J_0), exact in rationals."""
-    J = {n: _j_fraction(n) for n in range(N + 4)}
-    denom = 2 * J[3] + J[0]
-    total = J[0] / denom + sum(2 * (J[n + 2] - J[n + 3]) / denom for n in range(1, N + 1))
-    if total != 1 - 2 * J[N + 3] / denom:
+def check_normalization() -> CheckResult:
+    """Telescoping identity sum_0^20 pi_j = 1 - 2 J_23/(2J_3+J_0), exact in rationals."""
+    probs, tail = _pi_fractions(20)
+    if sum(probs) != 1 - tail:
         return "normalization", False, "telescoped sum does not match the tail identity"
-    fl = sum(chain.pi(n, 1e-13).value for n in range(N + 1))
+    fl = sum(chain.pi(n, 1e-13).value for n in range(21))
     if abs(fl - 1.0) > 1e-13:
         return "normalization", False, f"float route sums to {fl!r}"
-    return "normalization", True, f"sum_0^{N} pi_j telescopes exactly; float route = 1 - O(1e-15)"
+    return "normalization", True, "sum_0^20 pi_j telescopes exactly; float route = 1 - O(1e-15)"
 
 
 def run_quick_checks() -> list[CheckResult]:

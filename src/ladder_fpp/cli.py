@@ -37,18 +37,15 @@ class OutputRecord:
     method: str  # closed_form | truncated_solve | monte_carlo
     metadata: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def _fmt12(x) -> str:
     return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
-def emit_records(records: list[OutputRecord], fmt: str, out=None) -> None:
-    out = out or sys.stdout
+def emit_records(records: list[OutputRecord], fmt: str) -> None:
+    out = sys.stdout
     if fmt == "json":
-        json.dump({"records": [r.as_dict() for r in records]}, out, indent=2)
+        json.dump({"records": [asdict(r) for r in records]}, out, indent=2)
         out.write("\n")
     elif fmt == "csv":
         w = csv.writer(out)
@@ -195,8 +192,9 @@ def cmd_simulate(args) -> int:
                          "needs two replicates)")
     if args.dump_trajectory and mode != "front_chain":
         raise UsageError("--dump-trajectory applies to --mode front only")
-    if args.samples < 1:
-        raise UsageError(f"samples must be >= 1, got {args.samples}")
+    if args.samples < 2:
+        raise UsageError(f"--samples must be >= 2 (a standard error needs two samples), "
+                         f"got {args.samples}")
     try:
         cfg = simulate.SimConfig(
             seed=args.seed,
@@ -256,8 +254,8 @@ def cmd_simulate(args) -> int:
 def cmd_validate(args) -> int:
     jobs = _jobs(args)
     if args.level == "full":
-        if args.seed is None:
-            raise UsageError("validate full requires --seed")
+        if args.seed is None or args.seed < 0:
+            raise UsageError("validate full requires --seed N with N >= 0")
         results = checks.run_full_checks(args.seed, jobs=jobs)
     else:
         results = checks.run_quick_checks()

@@ -28,7 +28,7 @@ from itertools import count, islice
 from typing import Iterator
 
 from .bessel import BoundedReal, bessel_j
-from .chain import pi, pi0
+from .chain import _tail_bound, pi, pi0
 
 __all__ = [
     "HeadlineConstants",
@@ -111,22 +111,19 @@ def avg_residual_time(tol: float) -> BoundedReal:
     return out
 
 
-def avg_residual_time_direct(tol: float, n_terms: int = 25) -> BoundedReal:
-    """T by direct summation of pi_n * gamma_n (validation route).
+def avg_residual_time_direct(tol: float) -> BoundedReal:
+    """T by direct summation of pi_n * gamma_n over n <= 25 (validation route).
 
     gamma_n < e - 2 < 1, so the dropped tail is below the tail mass of Pi
-    beyond n_terms, itself below 1e-29 for the default 25 terms.
+    beyond n = 25, which `chain._tail_bound(25)` bounds by about 1e-29.
     """
     if not tol > 0.0:
         raise ValueError("tol must be > 0")
     sub = tol / 8.0
     total = BoundedReal.exact(0)
-    for n in range(n_terms + 1):
-        total = total + pi(n, sub / (n_terms + 1)) * gamma_residual(n)
-    d = 2 * bessel_j(3, 1e-14) + bessel_j(0, 1e-14)
-    jt = bessel_j(n_terms + 3, 1e-15)
-    tail = 2.0 * (jt.value + jt.err) / (d.value - d.err)  # Pi tail * sup gamma < 1
-    return total + BoundedReal(0.0, tail)
+    for n in range(26):
+        total = total + pi(n, sub / 26) * gamma_residual(n)
+    return total + BoundedReal(0.0, _tail_bound(25))
 
 
 @dataclass(frozen=True)

@@ -79,12 +79,14 @@ class SimConfig:
             raise ValueError("set exactly one of target_height / t_max")
         if self.target_height is not None and self.target_height < 1:
             raise ValueError("target_height must be >= 1")
-        if self.t_max is not None and not self.t_max > 0:
-            raise ValueError("t_max must be > 0")
+        if self.t_max is not None and not 0 < self.t_max < np.inf:
+            raise ValueError("t_max must be finite and > 0")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
+        if not 0 <= self.burn_in < np.inf:
+            raise ValueError("burn_in must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -233,9 +235,9 @@ class FppRecord:
     seed: int
     replicate: int
 
-    def passage_time(self, height: int | None = None) -> float:
-        """First time the infection reaches the given height (min over levels)."""
-        h = self.target_height if height is None else height
+    def passage_time(self) -> float:
+        """First time the infection reaches target_height (min over levels)."""
+        h = self.target_height
         return float(min(self.infection_times[0, h], self.infection_times[1, h]))
 
 
@@ -414,18 +416,19 @@ def fpp_time_constant(cfg: SimConfig, jobs: int = 1) -> tuple[SimEstimate, np.nd
 # Estimators over a chain trajectory.
 
 
-def _batch_edges(lo: float, hi: float, n_batches: int) -> np.ndarray:
+_BATCHES = 100  # equal time slices behind each batch-means standard error
+
+
+def _batch_edges(lo: float, hi: float) -> np.ndarray:
     if not hi > lo:
         raise ValueError("empty averaging window")
-    return lo + (hi - lo) * np.arange(n_batches + 1) / n_batches
+    return lo + (hi - lo) * np.arange(_BATCHES + 1) / _BATCHES
 
 
-def empirical_front_distribution(
-    traj: ChainTrajectory, burn_in: float, n_batches: int = 100
-) -> list[SimEstimate]:
+def empirical_front_distribution(traj: ChainTrajectory, burn_in: float) -> list[SimEstimate]:
     """Time-weighted occupation fraction per state over [burn_in, total_time].
 
-    Standard errors come from batch means over n_batches equal time slices;
+    Standard errors come from batch means over 100 equal time slices;
     holding times are correlated, so plain per-event variances would be
     optimistic.
     """
@@ -434,9 +437,9 @@ def empirical_front_distribution(
     ends = traj.jump_times
     starts = ends - traj.holding_times
     n_states = int(traj.states.max()) + 1
-    edges = _batch_edges(burn_in, traj.total_time, n_batches)
-    occ = np.zeros((n_batches, n_states))
-    for b in range(n_batches):
+    edges = _batch_edges(burn_in, traj.total_time)
+    occ = np.zeros((_BATCHES, n_states))
+    for b in range(_BATCHES):
         lo, hi = edges[b], edges[b + 1]
         i0 = np.searchsorted(ends, lo, side="right")
         i1 = np.searchsorted(starts, hi, side="left")
@@ -445,27 +448,25 @@ def empirical_front_distribution(
             traj.states[i0:i1], weights=np.clip(overlap, 0.0, None), minlength=n_states
         ) / (hi - lo)
     means = occ.mean(axis=0)
-    ses = occ.std(axis=0, ddof=1) / np.sqrt(n_batches)
+    ses = occ.std(axis=0, ddof=1) / np.sqrt(_BATCHES)
     return [
-        SimEstimate(float(means[s]), float(ses[s]), n_batches, f"pi_{s}")
+        SimEstimate(float(means[s]), float(ses[s]), _BATCHES, f"pi_{s}")
         for s in range(n_states)
     ]
 
 
-def height_rate_estimate(
-    traj: ChainTrajectory, burn_in: float, n_batches: int = 100
-) -> SimEstimate:
+def height_rate_estimate(traj: ChainTrajectory, burn_in: float) -> SimEstimate:
     """Height increments per unit time (the percolation rate 1/tau), batch means."""
     if burn_in >= traj.total_time:
         raise ValueError("burn_in must be < total_time")
     inc_times = traj.jump_times[traj.height_incremented]
-    edges = _batch_edges(burn_in, traj.total_time, n_batches)
+    edges = _batch_edges(burn_in, traj.total_time)
     counts = np.diff(np.searchsorted(inc_times, edges))
     rates = counts / np.diff(edges)
     return SimEstimate(
         float(rates.mean()),
-        float(rates.std(ddof=1) / np.sqrt(n_batches)),
-        n_batches,
+        float(rates.std(ddof=1) / np.sqrt(_BATCHES)),
+        _BATCHES,
         "inv_tau",
     )
 
@@ -522,18 +523,6 @@ class FrontPath:
     states: np.ndarray  # front state after each jump
     height_times: np.ndarray  # height increment times
     heights: np.ndarray  # height after each increment
-
-    def state_at(self, t: float) -> int:
-        if not (self.start_time <= t <= self.end_time):
-            raise ValueError("t outside the reconstructed window")
-        i = np.searchsorted(self.times, t, side="right")
-        return self.initial_state if i == 0 else int(self.states[i - 1])
-
-    def height_at(self, t: float) -> int:
-        if not (self.start_time <= t <= self.end_time):
-            raise ValueError("t outside the reconstructed window")
-        i = np.searchsorted(self.height_times, t, side="right")
-        return self.initial_height if i == 0 else int(self.heights[i - 1])
 
 
 def front_of_fpp(record: FppRecord) -> FrontPath:

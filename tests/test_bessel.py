@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ladder_fpp import checks
 from ladder_fpp.bessel import (
     BoundedReal,
-    EULER_GAMMA,
+    _EULER_GAMMA,
     PI,
     bessel_j,
     bessel_y,
-    harmonic,
+    _harmonic,
     upsilon,
     upsilon_analytic,
-    upsilon_run,
 )
-from ladder_fpp.checks import PI0_QUOTED
+from ladder_fpp.checks import UPSILON_0, UPSILON_3_COMBO
 
 from oracles import j_oracle, j_partial, upsilon_oracle
 
@@ -42,7 +42,6 @@ class TestBesselJ:
         j0 = bessel_j(0, 1e-14)
         j3 = bessel_j(3, 1e-14)
         p0 = j0 / (2 * j3 + j0)
-        assert abs(p0.value - PI0_QUOTED) <= 1e-9  # quoted to 10 decimals; true value ~1.3e-10 above
         assert abs(p0.value - 0.4647184276286947) <= 1e-13
 
     def test_large_order_tiny(self):
@@ -138,12 +137,8 @@ class TestUpsilon:
         assert upsilon(m, m) == 0
 
     def test_table_values(self):
-        assert upsilon(5, 0) == 7
-        assert 2 * upsilon(7, 3) + upsilon(7, 0) == 411
-        assert [upsilon(n, 0) for n in range(1, 8)] == [1, 1, 1, 2, 7, 33, 191]
-        assert [2 * upsilon(n, 3) + upsilon(n, 0) for n in range(1, 8)] == [
-            -3, -1, 1, 4, 15, 71, 411,
-        ]
+        assert [upsilon(n, 0) for n in range(1, 8)] == UPSILON_0
+        assert [2 * upsilon(n, 3) + upsilon(n, 0) for n in range(1, 8)] == UPSILON_3_COMBO
 
     @pytest.mark.parametrize("n", range(0, 11))
     def test_superdiagonal_one(self, n):
@@ -151,7 +146,7 @@ class TestUpsilon:
 
     def test_three_term_recursion_exact(self):
         for m in range(0, 6):
-            vals = upsilon_run(m, m + 40)
+            vals = [upsilon(n, m) for n in range(m, m + 41)]
             for i, n in enumerate(range(m + 1, m + 39)):
                 assert vals[i + 2] == n * vals[i + 1] - vals[i]
 
@@ -161,10 +156,11 @@ class TestUpsilon:
         assert upsilon(3, 8) == -751
 
     @pytest.mark.parametrize("m", range(0, 6))
-    def test_definition_agreement(self, m):
-        for n in range(m, 13):
-            ana = upsilon_analytic(n, m)
-            assert abs(ana.value - upsilon(n, m)) <= ana.err, (n, m)
+    def test_definition_agreement(self, m, monkeypatch):
+        # the registry check reaches column m: Upsilon(m+1, m) off by one fails it
+        monkeypatch.setattr(checks, "upsilon", lambda n, k: upsilon(n, k) + ((n, k) == (m + 1, m)))
+        _, ok, detail = checks.check_upsilon_definition()
+        assert not ok and detail.endswith(f"vs integer 2 at ({m + 1},{m})"), detail
 
     def test_matches_plain_int_oracle(self):
         # n < m goes through the antisymmetry Upsilon(n, m) = -Upsilon(m, n)
@@ -172,10 +168,6 @@ class TestUpsilon:
             assert [upsilon(n, m) for n in range(0, 41)] == [
                 upsilon_oracle(n, m) for n in range(0, 41)
             ]
-
-    def test_run_matches_pointwise(self):
-        run = upsilon_run(2, 30)
-        assert run == [upsilon(n, 2) for n in range(2, 31)]
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -186,13 +178,13 @@ class TestUpsilon:
 
 class TestHarmonic:
     def test_small_values(self):
-        assert harmonic(0) == 0
-        assert harmonic(1) == 1
-        assert harmonic(4) == Fraction(25, 12)
+        assert _harmonic(0) == 0
+        assert _harmonic(1) == 1
+        assert _harmonic(4) == Fraction(25, 12)
 
     @pytest.mark.parametrize("m", [2, 5, 17])
     def test_direct_summation(self, m):
-        assert harmonic(m) == sum(Fraction(1, j) for j in range(1, m + 1))
+        assert _harmonic(m) == sum(Fraction(1, j) for j in range(1, m + 1))
 
 
 class TestBoundedReal:
@@ -260,4 +252,4 @@ class TestBoundedReal:
             BoundedReal(1.0, 0.0) / BoundedReal(1e-9, 1e-8)
 
     def test_euler_gamma_digits(self):
-        assert abs(EULER_GAMMA.value - 0.5772156649015329) < 1e-16
+        assert abs(_EULER_GAMMA.value - 0.5772156649015329) < 1e-16

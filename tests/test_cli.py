@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ladder_fpp import chain
+from ladder_fpp import chain, checks, simulate
 from ladder_fpp.chain import QRow, q_row
 from ladder_fpp.checks import PI0_QUOTED, TABLE1_A, TABLE1_B
 from ladder_fpp.cli import main
@@ -31,6 +31,10 @@ def assert_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("ladder-fpp: error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+def no_run(*args, **kwargs):
+    raise AssertionError("a rejected input started a run")
 
 
 class TestExact:
@@ -115,8 +119,6 @@ class TestSequences:
         rc, out = run_cli(["sequences", "--n-max", "9", "--format", "json"], capsys)
         data = json.loads(out)
         rows = {r[0]: r for r in data["rows"]}
-        assert rows[9][1] == 19136803
-        assert rows[9][2] == 8893225
         assert [rows[n][1] for n in range(1, 10)] == TABLE1_A
         assert [rows[n][2] for n in range(1, 10)] == TABLE1_B
 
@@ -274,10 +276,24 @@ class TestSimulate:
         )
 
     def test_zero_samples_usage_error(self, capsys):
-        assert_usage_error(
-            ["simulate", "--mode", "front", "--t-max", "1000", "--seed", "1",
-             "--report", "residual", "--samples", "0"], capsys
-        )
+        # one sample has no standard error; the run must not print "± 0"
+        for samples in ("0", "1"):
+            assert_usage_error(
+                ["simulate", "--mode", "front", "--t-max", "1000", "--seed", "1",
+                 "--report", "residual", "--samples", samples], capsys
+            )
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "front", "--t-max", "100", "--seed", "-1"],
+        ["--mode", "fpp", "--height", "10", "--replicates", "2", "--seed", "-1"],
+        ["--mode", "front", "--t-max", "inf", "--seed", "1"],
+        ["--mode", "front", "--t-max", "100", "--burn-in", "nan", "--seed", "1"],
+        ["--mode", "front", "--t-max", "100", "--burn-in", "inf", "--seed", "1"],
+    ], ids=["front_seed", "fpp_seed", "t_max_inf", "burn_in_nan", "burn_in_inf"])
+    def test_bad_seed_or_horizon_usage_error(self, argv, capsys, monkeypatch):
+        for engine in ("simulate_front_chain", "simulate_fpp_ladder", "fpp_time_constant"):
+            monkeypatch.setattr(simulate, engine, no_run)
+        assert_usage_error(["simulate", *argv], capsys)
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_nonpositive_jobs_usage_error(self, jobs, capsys):
@@ -326,8 +342,10 @@ class TestValidate:
         assert len(lines) >= 10
         assert all(ln.startswith("PASS") for ln in lines)
 
-    def test_full_requires_seed(self):
-        run_cli_expecting_exit(["validate", "full"], 2)
+    def test_full_requires_seed(self, capsys, monkeypatch):
+        monkeypatch.setattr(checks, "monte_carlo_runs", no_run)
+        for seed in ([], ["--seed", "-3"]):
+            assert_usage_error(["validate", "full", *seed], capsys)
 
     def test_corrupted_generator_fails(self, capsys, monkeypatch):
         real = chain.q_row

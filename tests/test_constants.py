@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from ladder_fpp.chain import pi, pi0
-from ladder_fpp.checks import T_QUOTED, TAU_QUOTED
 from ladder_fpp.constants import (
     avg_residual_time,
     avg_residual_time_direct,
@@ -30,7 +29,6 @@ class TestTimeConstant:
     def test_value(self):
         v = time_constant(1e-10)
         assert v.err <= 1e-10
-        assert abs(v.value - TAU_QUOTED) <= 1e-9
         assert abs(v.value - TAU_REF) <= 1e-13
 
     def test_reciprocal_relation(self):
@@ -58,14 +56,6 @@ class TestGammaResidual:
     def test_small_values(self):
         assert gamma_residual(2) == Fraction(17, 24)
         assert gamma_residual(3) == Fraction(43, 60)
-
-    def test_closed_form_offset(self):
-        # the printed closed form needs a -2 offset; with it, it matches the
-        # recursion at every n including n = 0
-        for n in range(0, 101):
-            plain_sum = sum(Fraction(1, math.factorial(j)) for j in range(n + 3))
-            assert gamma_residual(n) == plain_sum - 2
-            assert gamma_residual(n) == gamma_residual_recursion(n)
 
     def test_matches_independent_recursion(self):
         oracle = gamma_oracle(60)
@@ -104,7 +94,6 @@ class TestAverageResidualTime:
     def test_value(self):
         v = avg_residual_time(1e-10)
         assert v.err <= 1e-10
-        assert abs(v.value - T_QUOTED) <= 1e-9
         assert abs(v.value - T_REF) <= 1e-13
 
     def test_direct_sum_route(self):
