@@ -136,16 +136,18 @@ def check_sequence_recursions() -> CheckResult:
             f"first-order and difference recursions exact to n={n_max}")
 
 
+def _series_wronskian(n: int):
+    """pi (J_{n+1}(2) Y_n(2) - J_n(2) Y_{n+1}(2)), equal to 1 for every n."""
+    return PI * (bessel_j(n + 1, None) * bessel_y(n, None)
+                 - bessel_j(n, None) * bessel_y(n + 1, None))
+
+
 def check_upsilon_wronskian() -> CheckResult:
     for n in range(11):
         if upsilon(n + 1, n) != 1:
             return "upsilon_wronskian", False, f"integer recursion gives {upsilon(n+1,n)} at n={n}"
-        jn = bessel_j(n, None)
-        jn1 = bessel_j(n + 1, None)
-        yn = bessel_y(n, None)
-        yn1 = bessel_y(n + 1, None)
-        w = PI * (jn1 * yn - jn * yn1)
-        if abs(w.value - 1.0) > min(max(w.err, 1e-12), 1e-9):
+        w = _series_wronskian(n)
+        if abs(w.value - 1.0) > w.err:
             return "upsilon_wronskian", False, f"series Wronskian off by {w.value - 1.0:.2e} at n={n}"
     return "upsilon_wronskian", True, "Upsilon(n+1,n)=1 and series Wronskian=1 for n<=(10)"
 

@@ -207,6 +207,12 @@ def cmd_simulate(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if args.dump_trajectory:
+        try:  # append mode: an existing file stays as it is if the run fails
+            open(args.dump_trajectory, "a").close()
+        except OSError as exc:
+            raise UsageError(f"cannot write --dump-trajectory {args.dump_trajectory}: "
+                             f"{exc.strerror}") from exc
 
     records = []
     if mode == "fpp_dijkstra":
@@ -224,6 +230,9 @@ def cmd_simulate(args) -> int:
             raise UsageError("run too short for the requested burn-in")
         if args.report == "tau":
             rate = simulate.height_rate_estimate(traj, args.burn_in)
+            if rate.mean == 0:
+                raise UsageError("no height increment inside the averaging window; "
+                                 "raise --t-max or lower --burn-in")
             records.append(OutputRecord("inv_tau", rate.mean, rate.std_err, "monte_carlo", meta))
             records.append(OutputRecord(
                 "tau", 1.0 / rate.mean, rate.std_err / rate.mean ** 2, "monte_carlo", meta
@@ -292,8 +301,8 @@ def _jobs(args) -> int:
 
 def _positive_float(text: str) -> float:
     x = float(text)
-    if not x > 0:
-        raise argparse.ArgumentTypeError(f"{text} is not > 0")
+    if not 0 < x < np.inf:
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number > 0")
     return x
 
 

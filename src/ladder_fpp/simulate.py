@@ -431,22 +431,34 @@ def empirical_front_distribution(traj: ChainTrajectory, burn_in: float) -> list[
     Standard errors come from batch means over 100 equal time slices;
     holding times are correlated, so plain per-event variances would be
     optimistic.
+
+    Batch b takes the events that end after its lo, up to the first one
+    that ends at or after its hi and starts there too.  One `bincount` adds,
+    per state and in event order, the overlap of each event's
+    [end - holding time, end] with [lo, hi), clipped at 0.
     """
     if burn_in >= traj.total_time:
         raise ValueError("burn_in must be < total_time")
-    ends = traj.jump_times
-    starts = ends - traj.holding_times
-    n_states = int(traj.states.max()) + 1
+    ends, holds, states = traj.jump_times, traj.holding_times, traj.states
+    n_states = int(states.max()) + 1
     edges = _batch_edges(burn_in, traj.total_time)
+    first = np.searchsorted(ends, edges[:-1], side="right")
+    stop = np.searchsorted(ends, edges[1:], side="left")
+    for b, hi in enumerate(edges[1:]):  # every event before stop[b] starts before hi
+        while stop[b] < len(ends) and ends[stop[b]] - holds[stop[b]] < hi:
+            stop[b] += 1
+    width = int((stop - first).max())
+    overlap_buf, start_buf = np.empty(width), np.empty(width)
     occ = np.zeros((_BATCHES, n_states))
     for b in range(_BATCHES):
         lo, hi = edges[b], edges[b + 1]
-        i0 = np.searchsorted(ends, lo, side="right")
-        i1 = np.searchsorted(starts, hi, side="left")
-        overlap = np.minimum(ends[i0:i1], hi) - np.maximum(starts[i0:i1], lo)
-        occ[b] = np.bincount(
-            traj.states[i0:i1], weights=np.clip(overlap, 0.0, None), minlength=n_states
-        ) / (hi - lo)
+        i0, i1 = first[b], stop[b]
+        overlap, start = overlap_buf[:i1 - i0], start_buf[:i1 - i0]
+        np.subtract(ends[i0:i1], holds[i0:i1], out=start)
+        np.minimum(ends[i0:i1], hi, out=overlap)
+        overlap -= np.maximum(start, lo, out=start)
+        np.maximum(overlap, 0.0, out=overlap)
+        occ[b] = np.bincount(states[i0:i1], weights=overlap, minlength=n_states) / (hi - lo)
     means = occ.mean(axis=0)
     ses = occ.std(axis=0, ddof=1) / np.sqrt(_BATCHES)
     return [
@@ -456,12 +468,18 @@ def empirical_front_distribution(traj: ChainTrajectory, burn_in: float) -> list[
 
 
 def height_rate_estimate(traj: ChainTrajectory, burn_in: float) -> SimEstimate:
-    """Height increments per unit time (the percolation rate 1/tau), batch means."""
+    """Height increments per unit time (the percolation rate 1/tau), batch means.
+
+    A batch counts the flagged events among those that jump inside it; the
+    increment times are a subsequence of the sorted jump times, so no mask
+    of them is built.
+    """
     if burn_in >= traj.total_time:
         raise ValueError("burn_in must be < total_time")
-    inc_times = traj.jump_times[traj.height_incremented]
     edges = _batch_edges(burn_in, traj.total_time)
-    counts = np.diff(np.searchsorted(inc_times, edges))
+    k = np.searchsorted(traj.jump_times, edges)
+    counts = np.array([np.count_nonzero(traj.height_incremented[k[b]:k[b + 1]])
+                       for b in range(_BATCHES)])
     rates = counts / np.diff(edges)
     return SimEstimate(
         float(rates.mean()),
@@ -480,13 +498,24 @@ def empirical_residual_time(
     excluded; the count of exclusions is returned alongside the estimate.
     Sample times spaced well beyond the chain's O(1) mixing time are
     effectively independent, so the plain standard error is reported.
+
+    Each sample starts at the first event that jumps after it (searched in
+    sorted order, which keeps the search in cache) and steps forward, all
+    samples at once, to the first flagged event or past the last event.
     """
     sample_times = np.asarray(sample_times, dtype=float)
-    inc_times = traj.jump_times[traj.height_incremented]
-    idx = np.searchsorted(inc_times, sample_times, side="right")
-    ok = idx < len(inc_times)
-    resid = inc_times[idx[ok]] - sample_times[ok]
-    n = int(ok.sum())
+    flags, n_events = traj.height_incremented, traj.n_events
+    order = np.argsort(sample_times)
+    nxt = np.empty(len(sample_times), np.intp)
+    nxt[order] = np.searchsorted(traj.jump_times, sample_times[order], side="right")
+    pending = np.flatnonzero(nxt < n_events)
+    while pending.size:
+        pending = pending[~flags[nxt[pending]]]
+        nxt[pending] += 1
+        pending = pending[nxt[pending] < n_events]
+    ok = nxt < n_events
+    resid = traj.jump_times[nxt[ok]] - sample_times[ok]
+    n = len(resid)
     if n == 0:
         raise ValueError("no sample time has a following height increment")
     se = float(resid.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -121,14 +122,21 @@ class TestBesselY:
         assert abs(y5.value) > abs(y4.value)
 
     @pytest.mark.parametrize("n", range(0, 11))
-    def test_wronskian_identity(self, n):
-        jn = bessel_j(n, None)
-        jn1 = bessel_j(n + 1, None)
-        yn = bessel_y(n, None)
-        yn1 = bessel_y(n + 1, None)
-        w = PI * (jn1 * yn - jn * yn1)
-        assert abs(w.value - 1.0) <= w.err
-        assert abs(w.value - 1.0) <= 1e-9
+    def test_wronskian_identity(self, n, monkeypatch):
+        # criterion 5 holds the series Wronskian to its own bound w.err
+        # (2.3e-15 to 3.9e-12 for n <= 10); moved away from 1 by 2 w.err at n,
+        # it fails there
+        series = checks._series_wronskian
+
+        def moved(k):
+            w = series(k)
+            if k != n:
+                return w
+            return BoundedReal(w.value + math.copysign(2 * w.err, w.value - 1.0), w.err)
+
+        monkeypatch.setattr(checks, "_series_wronskian", moved)
+        _, ok, detail = checks.check_upsilon_wronskian()
+        assert not ok and detail.endswith(f"at n={n}")
 
 
 class TestUpsilon:

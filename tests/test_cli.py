@@ -99,6 +99,11 @@ class TestExact:
         run_cli_expecting_exit(["exact", "--tol", "0"], 2)
         run_cli_expecting_exit(["exact", "--tol", "1e-20"], 2)  # below float floor
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_usage_error(self, tol, monkeypatch):
+        monkeypatch.setattr(chain, "pi0", no_run)
+        run_cli_expecting_exit(["exact", "--tol", tol, "--which", "pi0"], 2)
+
     def test_unknown_quantity_usage_error(self):
         run_cli_expecting_exit(["exact", "--which", "bogus"], 2)
 
@@ -294,6 +299,20 @@ class TestSimulate:
         for engine in ("simulate_front_chain", "simulate_fpp_ladder", "fpp_time_constant"):
             monkeypatch.setattr(simulate, engine, no_run)
         assert_usage_error(["simulate", *argv], capsys)
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_dump_usage_error(self, where, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(simulate, "simulate_front_chain", no_run)
+        path = tmp_path / "missing" / "x.csv" if where == "missing_dir" else tmp_path
+        assert_usage_error(["simulate", "--mode", "front", "--t-max", "100", "--seed", "1",
+                            "--dump-trajectory", str(path)], capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_increment_in_window_usage_error(self, capsys):
+        # one event, whose increment ends the window: the rate reads 0 and
+        # tau = 1/rate has no value; only a run can tell
+        assert_usage_error(["simulate", "--mode", "front", "--t-max", "1e-300",
+                            "--burn-in", "0", "--seed", "1"], capsys)
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_nonpositive_jobs_usage_error(self, jobs, capsys):

@@ -78,6 +78,62 @@ PINNED_CHAIN = {
 }
 
 
+# sha256 of repr() of the outputs of empirical_front_distribution,
+# height_rate_estimate and empirical_residual_time (estimate and exclusion
+# count) for (seed, t_max, burn_in), with the sample times of
+# `estimator_samples`; recorded from the earlier implementation that searched
+# each batch edge on its own and took the increment times with a boolean mask.
+# 1e6 is the benchmark's trajectory and 3e4 its probe; at t_max 1e3 with
+# burn-in 999 the batches are 0.01 wide, so one event spans many of them
+PINNED_ESTIMATORS = {
+    (7, 1e6, 100.0): (
+        "39ea07bb411c6e55e9cbdf847f3cf594a6a4bbecc92bb94987c103d6eccbae2f",
+        "8cd12fb36ee912684d0b3f6d9732faaf76e136bd5b7e11b10c8a9c6347248fab",
+        "b6a2dd93699e3314e78166365b2f929b4e02107161af5feda1355c5d54694499",
+    ),
+    (1, 3e4, 100.0): (
+        "ff617780925178c0610ea6ea1c8225d01dc34173933f5aee1488eb8e5906d99b",
+        "97f7ea87392b39c5bf638d5d282857c6a93128bfe106bfd3faf2342a882fa775",
+        "f73bc0fd74578e22b33071d39812a53e9c485470a79a41e7a54ca7af249d8cde",
+    ),
+    (2026, 3e4, 100.0): (
+        "6ee145ef592b8e5a2b1874e588a420f9d0b7de4ad96f85d2eeb9ddb8832d3ad2",
+        "2ca4df78172f13b7f20331577706136aadba7b34117ff0c3f1d2c8c48674850d",
+        "c04a9b0b203a410c994db7c2daeb60e6fc96749d63bde27d184c7a9e5364ed5d",
+    ),
+    (1, 1e3, 999.0): (
+        "04f98c6512b742eac79d104aa5640d0af25572fbff1cd26aa6cd2b00061c7932",
+        "9dd2975b56fd22f73ba428124fe7febbd4febe4800d22a22859c870432e64e73",
+        "d7d1df74dc6fa00e916a7a09d0c021bce2ee8904513ae399e04c960b093b5de1",
+    ),
+    (2026, 1e3, 999.0): (
+        "1091d8e9170ab4bc516d40e0f818924774255fbfe30b6d2e5534c16be16cd191",
+        "dd02a3caf9f0cb74c0a906bd4b35eda68727fc7690110a4216f9db5453727818",
+        "50df4e3887b77486280b015f6c16e98692e32166d3d84cc23858e255a745df00",
+    ),
+    (1, 200.0, 100.0): (
+        "3521ac15a02a202af0e9ec5972f39a6c82e52f67d22765184585ab2ffd6900af",
+        "f715b14ea73e32ec9a881e98df794ed19bf821abaec751ede5135d5243f667c1",
+        "462dcbd5c258c4f8e7db2b0e6d47fc6167829adebeee38b0e10d4fa5254b2e5a",
+    ),
+    (2026, 200.0, 100.0): (
+        "c065f049152a1a4b7ac1c63c0c12880d5d8071f50df96f5ad6e616680fb0b822",
+        "e8f3d75c3bffd6b1d848a3072b616026d35e7822d033c5bd13285191e1b12ca0",
+        "09a950ee6e428b863a8b86973a51f4ea72fe662494309100b9db6d7818d0fb41",
+    ),
+    (1, 0.3, 0.0): (
+        "3d6ca7c0410ce74f3606445c970946c8427990f68a31b0cb700b2e5bf9e9a98a",
+        "89c41e90964485a8e4398213cc707f305551370eebb335a6b9c7a2762d07c173",
+        "6e15bcc579bc0524d830b4790a57ff86799ac62974c76e132d8227a7ce977870",
+    ),
+    (2026, 0.3, 0.0): (
+        "fca099ac89c8fa83d37fc40e8c19158dd46b402283b5b1f9633b02ffeefb9954",
+        "346a4c482f690a8ba77e72499342bf43af756cb914889712536969915e082012",
+        "7f2794a3b9d0471b8a966d05b5ac3d1a91226c2bf1b427c1be4f3cc8c336be72",
+    ),
+}
+
+
 def chain_digest(traj: ChainTrajectory) -> str:
     h = hashlib.sha256()
     for a in (traj.states, traj.holding_times, traj.height_incremented):
@@ -123,6 +179,24 @@ def synthetic_record(inf: np.ndarray, horizon: float) -> FppRecord:
 def medium_traj():
     cfg = SimConfig(seed=SEED, mode="front_chain", t_max=2e5)
     return simulate_front_chain(cfg)
+
+
+def estimator_samples(traj: ChainTrajectory, burn_in: float, seed: int) -> np.ndarray:
+    """10^4 uniform times over [burn_in, total_time], about 50 increment times
+    (ties for the right-sided search) and 11 evenly spaced times ending at
+    total_time, which lies past the last increment or on it."""
+    inc_times = traj.jump_times[traj.height_incremented]
+    u = make_stream(seed, 1).random(10_000)
+    return np.concatenate([burn_in + (traj.total_time - burn_in) * u,
+                           inc_times[::max(1, len(inc_times) // 50)],
+                           np.linspace(burn_in, traj.total_time, 11)])
+
+
+@pytest.fixture(scope="module")
+def pinned_trajectories():
+    return {(seed, t_max, burn_in): simulate_front_chain(
+                SimConfig(seed=seed, mode="front_chain", t_max=t_max))
+            for seed, t_max, burn_in in PINNED_ESTIMATORS}
 
 
 class TestSimConfig:
@@ -281,6 +355,34 @@ class TestResidualTimes:
         est, excluded = empirical_residual_time(medium_traj, times)
         assert excluded == 1
         assert est.n_samples == 1
+
+
+class TestEstimatorsPinned:
+    @pytest.mark.parametrize("key", sorted(PINNED_ESTIMATORS))
+    def test_pinned_digest(self, key, pinned_trajectories):
+        seed, _, burn_in = key
+        traj = pinned_trajectories[key]
+        resid = empirical_residual_time(traj, estimator_samples(traj, burn_in, seed))
+        assert resid[1] > 0
+        outputs = (empirical_front_distribution(traj, burn_in),
+                   height_rate_estimate(traj, burn_in), resid)
+        digests = tuple(hashlib.sha256(repr(out).encode()).hexdigest() for out in outputs)
+        assert digests == PINNED_ESTIMATORS[key]
+
+    def test_sub_ulp_holding_time(self):
+        # the second holding time is below ulp(1)/2 and the third rounds the
+        # start of its interval one ulp below 1.0, out of order with the
+        # second start; the third event's overlap is one ulp, the rest exact
+        holds = np.array([1.0, 1e-30, 0.4 * 2.0 ** -52, 1.0])
+        ends = np.cumsum(holds)
+        assert (ends - holds).tolist() == [0.0, 1.0, 1.0 - 2.0 ** -53, 1.0]
+        traj = ChainTrajectory(np.array([0, 1, 2, 1]), holds,
+                               np.array([True, True, False, False]), ends, 2.0, 2, 0)
+        occ = empirical_front_distribution(traj, 0.0)
+        assert [e.mean for e in occ[:2]] == [0.5, 0.5]
+        assert 0.0 <= occ[2].mean <= 2.0 ** -52
+        est, excluded = empirical_residual_time(traj, np.array([0.0, 0.5, 1.0, 1.5]))
+        assert (est.mean, est.n_samples, excluded) == (0.75, 2, 2)
 
 
 class TestFppLadder:
