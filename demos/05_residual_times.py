@@ -11,21 +11,22 @@ than the time constant 0.6827.  A Gillespie run sampled at uniform times
 reproduces both the conditional and the unconditional means.
 """
 
+from itertools import islice
+
 from ladder_fpp import (
     SimConfig,
     avg_residual_time,
     empirical_residual_time,
     front_state_at,
     gamma_residual,
-    gamma_residual_recursion,
-    make_stream,
     simulate_front_chain,
     time_constant,
 )
+from ladder_fpp.constants import gamma_residual_terms
+from ladder_fpp.simulate import residual_sample_times
 
 print("gamma_n by recursion and closed form (exact rationals):")
-for n in range(6):
-    r = gamma_residual_recursion(n)
+for n, r in enumerate(islice(gamma_residual_terms(), 6)):
     c = gamma_residual(n)
     print(f"  gamma_{n} = {r} = {float(r):.10f}   closed form agrees: {r == c}")
 
@@ -35,8 +36,7 @@ print(f"\nT = {T.value:.12f} ± {T.err:.1e}   (tau = {tau.value:.12f}; T < tau)"
 
 cfg = SimConfig(seed=99, mode="front_chain", t_max=2e5)
 traj = simulate_front_chain(cfg)
-rng = make_stream(99, 1)
-times = 100.0 + (traj.total_time - 150.0) * rng.random(20000)
+times = residual_sample_times(traj, 100.0, 20000, 99)  # over [100, total_time - 50)
 
 est, excluded = empirical_residual_time(traj, times)
 print(f"\nMonte Carlo over {est.n_samples} uniform sample times "

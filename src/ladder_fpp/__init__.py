@@ -26,7 +26,6 @@ from .constants import (
     avg_residual_time,
     avg_residual_time_direct,
     gamma_residual,
-    gamma_residual_recursion,
     headline_constants,
     time_constant,
 )

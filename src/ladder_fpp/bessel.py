@@ -42,6 +42,25 @@ _ULP = 2.0 ** -52
 _TINY = 1e-300  # keeps err nonzero for subnormal-scale values
 
 
+def _rounding(v: float) -> float:
+    """Bound on the one rounding that produced v."""
+    return abs(v) * _ULP + _TINY
+
+
+def _check_tol(tol: float | None) -> None:
+    """tol > 0, or None for "as tight as double precision allows".  Every bounded
+    evaluation passes its tol, or a fixed part of it, to `bessel_j` first."""
+    if tol is not None and not tol > 0.0:
+        raise ValueError("tol must be > 0")
+
+
+def _within_tol(x: BoundedReal, tol: float, name: str) -> BoundedReal:
+    """x, if its bound meets tol; else ValueError naming the quantity."""
+    if x.err > tol:
+        raise ValueError(f"cannot reach tol={tol} for {name} (err={x.err:.2e})")
+    return x
+
+
 @dataclass(frozen=True)
 class BoundedReal:
     """A float paired with a rigorous absolute error bound.
@@ -81,15 +100,12 @@ class BoundedReal:
             return BoundedReal.from_fraction(other)
         return NotImplemented
 
-    def _slop(self, v: float) -> float:
-        return abs(v) * _ULP + _TINY
-
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
         v = self.value + o.value
-        return BoundedReal(v, self.err + o.err + self._slop(v))
+        return BoundedReal(v, self.err + o.err + _rounding(v))
 
     __radd__ = __add__
 
@@ -111,7 +127,7 @@ class BoundedReal:
             return o
         v = self.value * o.value
         prop = abs(self.value) * o.err + abs(o.value) * self.err + self.err * o.err
-        return BoundedReal(v, prop + self._slop(v))
+        return BoundedReal(v, prop + _rounding(v))
 
     __rmul__ = __mul__
 
@@ -124,7 +140,7 @@ class BoundedReal:
             raise ZeroDivisionError("divisor interval contains zero")
         v = self.value / o.value
         prop = (self.err + abs(v) * o.err) / denom_low
-        return BoundedReal(v, prop + self._slop(v))
+        return BoundedReal(v, prop + _rounding(v))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -160,22 +176,6 @@ def _over(x: float, denom: int) -> float:
         return math.nextafter(num / (den * denom), math.inf)
 
 
-def _sum_terms(terms):
-    """Neumaier-sum floats; return (total, rounding error bound).  The recovered
-    total is accurate to one rounding of the result."""
-    s = 0.0
-    c = 0.0
-    for t in terms:
-        x = s + t
-        if abs(s) >= abs(t):
-            c += (s - x) + t
-        else:
-            c += (t - x) + s
-        s = x
-    total = s + c
-    return total, abs(total) * _ULP + _TINY
-
-
 def bessel_j(n: int, tol: float | None) -> BoundedReal:
     """J_n(2) = sum_{k>=0} (-1)^k / (k! (n+k)!) with |value - J_n(2)| <= err <= tol.
 
@@ -187,8 +187,7 @@ def bessel_j(n: int, tol: float | None) -> BoundedReal:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if tol is not None and not tol > 0.0:
-        raise ValueError("tol must be > 0")
+    _check_tol(tol)
     # The extra terms down to the double-precision floor are nearly free and
     # keep downstream propagated bounds tight; tol remains the contract.
     stop = 2.0 ** -56 if tol is None else min(tol / 4.0, 2.0 ** -56)
@@ -206,8 +205,8 @@ def bessel_j(n: int, tol: float | None) -> BoundedReal:
         denom *= k * (n + k)
         if k > 400:  # unreachable: terms decay factorially
             raise RuntimeError("J series failed to converge")
-    value, rounding = _sum_terms(terms)
-    err = term + rounding  # first omitted term bounds the truncation
+    value = math.fsum(terms)  # exactly rounded
+    err = term + _rounding(value)  # first omitted term bounds the truncation
     if tol is not None and err > tol:
         raise ValueError(
             f"requested tol={tol} for J_{n}(2) is below the double-precision floor ({err:.2e})"
@@ -243,8 +242,7 @@ def bessel_y(n: int, tol: float | None) -> BoundedReal:
     """
     if not 0 <= n <= _Y_MAX_ORDER:
         raise ValueError(f"n must be in 0..{_Y_MAX_ORDER} (Y_n(2) beyond double range), got {n}")
-    if tol is not None and not tol > 0.0:
-        raise ValueError("tol must be > 0")
+    _check_tol(tol)
     jn = bessel_j(n, None)
     two_gamma_jn = 2.0 * _EULER_GAMMA * jn
     finite = BoundedReal.from_fraction(_y_finite_sum(n))
@@ -268,9 +266,10 @@ def bessel_y(n: int, tol: float | None) -> BoundedReal:
             break
         if k > 400:
             raise RuntimeError("Y series failed to converge")
-    series_value, rounding = _sum_terms(terms)
+    series_value = math.fsum(terms)  # exactly rounded
     # harmonic increments accumulate <= k ulps of ~2*H_k <= 16 ulp each term
-    series = BoundedReal(series_value, 1.6 * next_mag + rounding + len(terms) * 16.0 * _ULP)
+    series = BoundedReal(series_value,
+                         1.6 * next_mag + _rounding(series_value) + len(terms) * 16.0 * _ULP)
 
     result = (two_gamma_jn - finite - series) / PI
     if tol is not None and result.err > tol:

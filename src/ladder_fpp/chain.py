@@ -17,14 +17,14 @@ equations, which never consults the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, Inexact
 from itertools import count, islice
 from typing import Iterator
 
 import numpy as np
 
-from .bessel import EXACT, BoundedReal, bessel_j, upsilon_terms
+from .bessel import EXACT, BoundedReal, _within_tol, bessel_j, upsilon_terms
 
 __all__ = [
     "QRow",
@@ -138,13 +138,8 @@ def _pi_from_j(J: dict[int, BoundedReal], ns, tol: float) -> list[BoundedReal]:
     """pi_n for each n in ns from the J values in `J` (J_0, J_3 and, for each
     n >= 1, J_{n+2} and J_{n+3}); raises if a bound exceeds tol."""
     denom = 2 * J[3] + J[0]
-    out = []
-    for n in ns:
-        p = J[0] / denom if n == 0 else 2 * (J[n + 2] - J[n + 3]) / denom
-        if p.err > tol:
-            raise ValueError(f"cannot reach tol={tol} for pi_{n} (err={p.err:.2e})")
-        out.append(p)
-    return out
+    return [_within_tol((J[0] if n == 0 else 2 * (J[n + 2] - J[n + 3])) / denom, tol, f"pi_{n}")
+            for n in ns]
 
 
 def pi0(tol: float) -> BoundedReal:
@@ -159,8 +154,6 @@ def pi(n: int, tol: float) -> BoundedReal:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if not tol > 0.0:
-        raise ValueError("tol must be > 0")
     orders = (0, 3) if n == 0 else (n + 2, n + 3, 3, 0)
     return _pi_from_j({k: bessel_j(k, tol / 16.0) for k in orders}, (n,), tol)[0]
 
@@ -178,7 +171,6 @@ class FrontDistribution:
     probs: np.ndarray
     tail_bound: float
     K: int
-    method: str = field(default="closed_form")
 
 
 def _tail_bound(K: int) -> float:
@@ -192,11 +184,9 @@ def front_distribution(K: int, tol: float = 1e-13) -> FrontDistribution:
     evaluation each of J_0 and J_3..J_{K+3}."""
     if K < 0:
         raise ValueError("K must be >= 0")
-    if not tol > 0.0:
-        raise ValueError("tol must be > 0")
     J = {n: bessel_j(n, tol / 16.0) for n in (0, *range(3, K + 4))}
     probs = np.array([p.value for p in _pi_from_j(J, range(K + 1), tol)])
-    return FrontDistribution(probs, _tail_bound(K), K, method="closed_form")
+    return FrontDistribution(probs, _tail_bound(K), K)
 
 
 def stationary_truncated_solve(K: int) -> FrontDistribution:
@@ -228,4 +218,4 @@ def stationary_truncated_solve(K: int) -> FrontDistribution:
         x += np.linalg.solve(M, rhs - M @ x)
     except np.linalg.LinAlgError as exc:  # signals a Q-construction bug
         raise RuntimeError("truncated balance system is singular; q_row is broken") from exc
-    return FrontDistribution(x, _tail_bound(K), K, method="truncated_solve")
+    return FrontDistribution(x, _tail_bound(K), K)

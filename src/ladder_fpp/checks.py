@@ -232,7 +232,8 @@ def check_residual_series() -> CheckResult:
 
 
 def check_stationarity_residual() -> CheckResult:
-    """|(Pi Q)_j| for the closed-form Pi truncated at K = 30, in exact rationals.
+    """|(Pi Q)_j| for the closed-form Pi truncated at K = 30, in exact rationals,
+    with Q's rows 0..K from `chain.q_row`.
 
     Uses rational J-series partial sums (truncation ~1e-100), so the residual
     in column j is exactly the mass the truncation at K drops, which is below
@@ -240,12 +241,13 @@ def check_stationarity_residual() -> CheckResult:
     """
     K = 30
     probs, tail_bound = _pi_fractions(K)
-    for j in range(K - 2):
-        col = probs[j] * (-(j + 2))
-        if j >= 1:
-            col += probs[j - 1] * (2 if j == 1 else 1)
-        col += probs[j + 1] * 2
-        col += sum(probs[n] for n in range(j + 2, K + 1))
+    cols = [Fraction(0)] * (K + 2)
+    for n, p in enumerate(probs):
+        row = chain.q_row(n)
+        cols[n] += p * row.diagonal
+        for j, rate in row.entries.items():
+            cols[j] += p * rate
+    for j, col in enumerate(cols[:K - 2]):
         if abs(col) > 10 * tail_bound:
             return "stationarity_residual", False, f"(Pi Q)_{j} = {float(col):.2e}"
     return (
@@ -368,8 +370,7 @@ def check_mc_residual(runs: MonteCarloRuns) -> CheckResult:
     """Mean residual time at 10^4 uniform sample times against T, and the
     residuals conditional on front 0 and 1 against gamma_0 = 1/2, gamma_1 = 2/3."""
     traj = runs.trajectory
-    rng = simulate.make_stream(runs.seed, 1)
-    times = BURN_IN + (traj.total_time - BURN_IN - 50.0) * rng.random(10 ** 4)
+    times = simulate.residual_sample_times(traj, BURN_IN, 10 ** 4, runs.seed)
     est, _ = simulate.empirical_residual_time(traj, times)
     t_exact = constants.avg_residual_time(1e-10).value
     sigmas = [abs(est.mean - t_exact) / est.std_err]

@@ -72,8 +72,6 @@ def cmd_exact(args) -> int:
     bad = set(which) - valid
     if bad:
         raise UsageError(f"unknown quantities: {sorted(bad)} (choose from {sorted(valid)})")
-    if args.n_max < 0:
-        raise UsageError(f"n-max must be >= 0, got {args.n_max}")
     tol = args.tol
     records = []
     meta = {"tol": tol}
@@ -116,8 +114,6 @@ SEQ_TABLE_HEADER = ["n", "a_n", "b_n", "A_n", "B_n", "Ups(n+2,0)", "2Ups(n+2,3)+
 
 def cmd_sequences(args) -> int:
     n_max = args.n_max
-    if not 1 <= n_max <= chain.SEQ_INDEX_CAP:
-        raise UsageError(f"n-max must be in 1..{chain.SEQ_INDEX_CAP}")
     header, out, rows = SEQ_TABLE_HEADER, sys.stdout, chain.sequence_rows(n_max)
     # Rows are streamed and joined by hand (str(Decimal) is linear; no data
     # field needs csv quoting).  A line and its terminator go out apart: a
@@ -166,7 +162,7 @@ def _dump_trajectory(traj: simulate.ChainTrajectory, path: str) -> None:
     row = "%r,%d,%d\r\n".__mod__
     height = 0
     with open(path, "w", newline="") as fh:
-        fh.write("t,state,height\r\n" + row((0.0, traj.initial_state, 0)))
+        fh.write("t,state,height\r\n0.0,0,0\r\n")  # state 0 and height 0 at t = 0
         for i in range(0, n, _DUMP_BLOCK):
             j = min(i + _DUMP_BLOCK, n)
             heights = np.cumsum(traj.height_incremented[i:j], dtype=np.int64)
@@ -192,9 +188,6 @@ def cmd_simulate(args) -> int:
                          "needs two replicates)")
     if args.dump_trajectory and mode != "front_chain":
         raise UsageError("--dump-trajectory applies to --mode front only")
-    if args.samples < 2:
-        raise UsageError(f"--samples must be >= 2 (a standard error needs two samples), "
-                         f"got {args.samples}")
     try:
         cfg = simulate.SimConfig(
             seed=args.seed,
@@ -242,12 +235,10 @@ def cmd_simulate(args) -> int:
                 records.append(OutputRecord(est.quantity, est.mean, est.std_err,
                                             "monte_carlo", meta))
         else:  # residual
-            rng = simulate.make_stream(args.seed, 1)
-            margin = 50.0
-            span = traj.total_time - args.burn_in - margin
-            if span <= 0:
-                raise UsageError("run too short for residual sampling")
-            times = args.burn_in + span * rng.random(args.samples)
+            try:
+                times = simulate.residual_sample_times(traj, args.burn_in, args.samples, args.seed)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
             est, excluded = simulate.empirical_residual_time(traj, times)
             meta = dict(meta, excluded=excluded)
             records.append(OutputRecord("mean_residual", est.mean, est.std_err,
@@ -280,8 +271,20 @@ def cmd_validate(args) -> int:
 # parser
 
 
+PROG = "ladder-fpp"
+PI_N_CAP = 170  # the largest n with n! a finite double; pi_170 ~ 2e-311 is 0 within its bound
+SAMPLES_CAP = 10 ** 6  # residual sample times; 10^6 add about 40 MB to the peak of a run
+
+
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Every usage error as one line `ladder-fpp: error: ...`, exit 2; subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"{PROG}: error: {message}\n")
 
 
 def _jobs(args) -> int:
@@ -299,6 +302,16 @@ def _jobs(args) -> int:
     return jobs
 
 
+def _int_in(lo: int, hi: int):
+    """argparse type: an integer in lo..hi."""
+    def integer(text: str) -> int:
+        x = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if not lo <= x <= hi:
+            raise argparse.ArgumentTypeError(f"{x} is not in {lo}..{hi}")
+        return x
+    return integer
+
+
 def _positive_float(text: str) -> float:
     x = float(text)
     if not 0 < x < np.inf:
@@ -307,8 +320,8 @@ def _positive_float(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="ladder-fpp",
+    p = _Parser(
+        prog=PROG,
         description="First-passage percolation on the ladder: exact constants and simulation.",
     )
     sub = p.add_subparsers(dest="command", required=True)
@@ -317,12 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--tol", type=_positive_float, default=1e-10)
     pe.add_argument("--which", default="pi0,tau,T",
                     help="comma list from pi0,tau,T,pi_n")
-    pe.add_argument("--n-max", type=int, default=10, help="largest n for pi_n")
+    pe.add_argument("--n-max", type=_int_in(0, PI_N_CAP), default=10, help="largest n for pi_n")
     pe.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
     pe.set_defaults(func=cmd_exact)
 
     ps = sub.add_parser("sequences", help="a_n/b_n table with Upsilon columns")
-    ps.add_argument("--n-max", type=int, required=True)
+    ps.add_argument("--n-max", type=_int_in(1, chain.SEQ_INDEX_CAP), required=True)
     ps.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
     ps.set_defaults(func=cmd_sequences)
 
@@ -337,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--initial", choices=["both", "single"], default="both")
     pm.add_argument("--burn-in", type=float, default=100.0)
     pm.add_argument("--report", choices=["tau", "front-dist", "residual"], default="tau")
-    pm.add_argument("--samples", type=int, default=10000,
+    pm.add_argument("--samples", type=_int_in(2, SAMPLES_CAP), default=10000,
                     help="sample times for --report residual")
     pm.add_argument("--jobs", type=int, default=None,
                     help="parallel replicates (default: env LADDER_FPP_JOBS, else 1)")
@@ -361,7 +374,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+        parser.error(str(exc))
 
 
 def entry() -> None:

@@ -24,17 +24,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count
 from typing import Iterator
 
-from .bessel import BoundedReal, bessel_j
+from .bessel import BoundedReal, _within_tol, bessel_j
 from .chain import _tail_bound, pi, pi0
 
 __all__ = [
     "HeadlineConstants",
     "time_constant",
     "gamma_residual",
-    "gamma_residual_recursion",
     "gamma_residual_terms",
     "avg_residual_time",
     "avg_residual_time_direct",
@@ -44,15 +43,10 @@ __all__ = [
 
 def time_constant(tol: float) -> BoundedReal:
     """tau = (2*J_3 + J_0)/(2*J_3 + 2*J_0), the long-run time per unit height."""
-    if not tol > 0.0:
-        raise ValueError("tol must be > 0")
     sub = tol / 16.0
     j0 = bessel_j(0, sub)
     j3 = bessel_j(3, sub)
-    out = (2 * j3 + j0) / (2 * j3 + 2 * j0)
-    if out.err > tol:
-        raise ValueError(f"cannot reach tol={tol} for tau (err={out.err:.2e})")
-    return out
+    return _within_tol((2 * j3 + j0) / (2 * j3 + 2 * j0), tol, "tau")
 
 
 def gamma_residual(n: int) -> Fraction:
@@ -71,13 +65,6 @@ def gamma_residual_terms() -> Iterator[Fraction]:
         g, acc = (1 + 2 * g + acc) / (m + 2), acc + g
 
 
-def gamma_residual_recursion(n: int) -> Fraction:
-    """gamma_n by the first-step recursion; independent of the closed form."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return next(islice(gamma_residual_terms(), n, None))
-
-
 def avg_residual_time(tol: float) -> BoundedReal:
     """Average residual time T via the rearranged series
 
@@ -87,28 +74,19 @@ def avg_residual_time(tol: float) -> BoundedReal:
     negligible after a handful of terms.  `checks.check_residual_series`
     compares it with the direct sum over pi_n * gamma_n.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be > 0")
     sub = tol / 32.0
     j0 = bessel_j(0, sub)
     j3 = bessel_j(3, sub)
     total = j0 / 2 + (4 * j3) / 3
     stop = min(sub, 2.0 ** -56)
-    n = 1
-    while True:
-        fact = math.factorial(n + 3)
-        term = 2 * bessel_j(n + 3, sub) / fact
-        total = total + term
+    for n in count(1):
+        total = total + 2 * bessel_j(n + 3, sub) / math.factorial(n + 3)
         # J_{n+4} <= 1/(n+4)!; times 2/(n+4)! and a 1.1 geometric cover
         tail = 2.2 / float(math.factorial(n + 4)) ** 2
         if tail < stop:
             break
-        n += 1
     total = total + BoundedReal(0.0, tail)
-    out = total / (2 * j3 + j0)
-    if out.err > tol:
-        raise ValueError(f"cannot reach tol={tol} for T (err={out.err:.2e})")
-    return out
+    return _within_tol(total / (2 * j3 + j0), tol, "T")
 
 
 def avg_residual_time_direct(tol: float) -> BoundedReal:
@@ -117,8 +95,6 @@ def avg_residual_time_direct(tol: float) -> BoundedReal:
     gamma_n < e - 2 < 1, so the dropped tail is below the tail mass of Pi
     beyond n = 25, which `chain._tail_bound(25)` bounds by about 1e-29.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be > 0")
     sub = tol / 8.0
     total = BoundedReal.exact(0)
     for n in range(26):

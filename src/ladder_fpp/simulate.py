@@ -18,6 +18,7 @@ Exponentials are drawn by inverse CDF, -log1p(-U) with U uniform on [0, 1).
 
 from __future__ import annotations
 
+import os
 from array import array
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -36,6 +37,7 @@ __all__ = [
     "fpp_time_constant",
     "empirical_front_distribution",
     "empirical_residual_time",
+    "residual_sample_times",
     "front_state_at",
     "height_rate_estimate",
     "front_of_fpp",
@@ -91,7 +93,7 @@ class SimConfig:
 
 @dataclass
 class ChainTrajectory:
-    """Front-chain path as parallel event arrays.
+    """Front-chain path from state 0 at time 0, as parallel event arrays.
 
     Event i: the chain sat in `states[i]` for `holding_times[i]`, then jumped
     at `jump_times[i]` (the running sum of the holding times);
@@ -106,7 +108,6 @@ class ChainTrajectory:
     total_time: float
     final_height: int
     final_state: int
-    initial_state: int = 0
 
     @property
     def n_events(self) -> int:
@@ -232,8 +233,6 @@ class FppRecord:
     initial: str
     rail_weights: np.ndarray
     rung_weights: np.ndarray
-    seed: int
-    replicate: int
 
     def passage_time(self) -> float:
         """First time the infection reaches target_height (min over levels)."""
@@ -368,8 +367,6 @@ def simulate_fpp_ladder(cfg: SimConfig, replicate: int = 0) -> FppRecord:
         initial=cfg.initial,
         rail_weights=_by_level(rail, np.float64),
         rung_weights=np.frombuffer(rung, dtype=np.float64),
-        seed=cfg.seed,
-        replicate=replicate,
     )
 
 
@@ -388,21 +385,21 @@ class SimEstimate:
 
 
 def _replicate_passage(args) -> tuple[int, float]:
-    seed, rep, height, initial = args
-    cfg = SimConfig(seed=seed, mode="fpp_dijkstra", target_height=height, initial=initial)
-    rec = simulate_fpp_ladder(cfg, replicate=rep)
-    return rep, rec.passage_time() / height
+    cfg, rep = args
+    return rep, simulate_fpp_ladder(cfg, replicate=rep).passage_time() / cfg.target_height
 
 
 def fpp_time_constant(cfg: SimConfig, jobs: int = 1) -> tuple[SimEstimate, np.ndarray]:
-    """Replicate estimate of tau from T_H / H; returns (estimate, per-replicate values)."""
+    """Replicate estimate of tau from T_H / H, in min(jobs, replicates, CPU count)
+    processes; returns (estimate, per-replicate values), the same for any count."""
     if cfg.mode != "fpp_dijkstra":
         raise ValueError("cfg.mode must be 'fpp_dijkstra'")
-    args = [(cfg.seed, r, cfg.target_height, cfg.initial) for r in range(cfg.replicates)]
-    if jobs > 1 and cfg.replicates > 1:
+    args = [(cfg, r) for r in range(cfg.replicates)]
+    workers = min(jobs, cfg.replicates, os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             out = sorted(pool.map(_replicate_passage, args))
     else:
         out = [_replicate_passage(a) for a in args]
@@ -520,6 +517,15 @@ def empirical_residual_time(
         raise ValueError("no sample time has a following height increment")
     se = float(resid.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return SimEstimate(float(resid.mean()), se, n, "mean_residual"), int(len(sample_times) - n)
+
+
+def residual_sample_times(traj: ChainTrajectory, burn_in: float, n: int, seed: int) -> np.ndarray:
+    """n uniform sample times from stream (seed, 1) over [burn_in, total_time - 50),
+    so that nearly every one has a following height increment."""
+    span = traj.total_time - burn_in - 50.0
+    if span <= 0:
+        raise ValueError("run too short for residual sampling")
+    return burn_in + span * make_stream(seed, 1).random(n)
 
 
 def front_state_at(traj: ChainTrajectory, times: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -16,7 +17,9 @@ from ladder_fpp.bessel import (
     upsilon,
     upsilon_analytic,
 )
+from ladder_fpp.chain import pi
 from ladder_fpp.checks import UPSILON_0, UPSILON_3_COMBO
+from ladder_fpp.constants import headline_constants
 
 from oracles import j_oracle, j_partial, upsilon_oracle
 
@@ -25,6 +28,44 @@ J0_REF = 0.22389077914123567
 J3_REF = 0.12894324947440206
 Y0_REF = 0.5103756726497451
 Y1_REF = -0.10703243154093754
+
+
+# sha256 of the lines repr((value, err)), or the ValueError message where the
+# tolerance raises: J_n(2) for n <= 400 and Y_n(2) for n <= 171 at each of
+# PINNED_TOLS, pi_n for n <= 165 at 1e-13, and the three headline constants
+# at 1e-8, 1e-10 and 1e-12.  Recorded from the Neumaier-summed series before
+# the sums went to math.fsum.
+PINNED_TOLS = (None, 1e-6, 1e-10, 1e-13, 1e-15)
+PINNED_SERIES = {
+    "J": "0ef7e3946d90c78c9b73d0e3d422d65769fd5382345d5d1743b90b76bb2991ce",
+    "Y": "be571df7e9011f3cc273aa6ac6889b0c39af4ac3d50c0d5302d559119852e9ce",
+    "pi": "c33c0bf0597818035dd07d2df525dc3aa5ddb3d91e633931d276ea184a6277f4",
+    "headline": "ce50b71988ba45ba63cb4cc30df76c5b6b604d72a1b9f8db3a9d8e8406d843d7",
+}
+
+
+def _pinned_lines(kind):
+    if kind == "headline":
+        for tol in (1e-8, 1e-10, 1e-12):
+            h = headline_constants(tol)
+            yield from (repr((c.value, c.err)) for c in (h.pi0, h.tau, h.T_resid))
+        return
+    f, n_max, tols = {"J": (bessel_j, 400, PINNED_TOLS), "Y": (bessel_y, 171, PINNED_TOLS),
+                      "pi": (pi, 165, (1e-13,))}[kind]
+    for tol in tols:
+        for n in range(n_max + 1):
+            try:
+                v = f(n, tol)
+            except ValueError as exc:
+                yield str(exc)
+            else:
+                yield repr((v.value, v.err))
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_SERIES))
+def test_series_pinned(kind):
+    text = "\n".join(_pinned_lines(kind))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SERIES[kind]
 
 
 class TestBesselJ:

@@ -279,7 +279,6 @@ class TestTruncatedSolve:
 class TestFrontDistribution:
     def test_sum_plus_tail_is_one(self):
         fd = front_distribution(25)
-        assert fd.method == "closed_form"
         assert abs(fd.probs.sum() + 2 * bessel_j(28, None).value
                    / (2 * bessel_j(3, None).value + bessel_j(0, None).value) - 1.0) <= 1e-13
         assert fd.probs.sum() <= 1.0 + 1e-13

@@ -94,18 +94,18 @@ class TestExact:
         rc, _ = run_cli(["exact", "--tol", "5e-15", "--which", "T"], capsys)
         assert rc == 0
 
-    def test_bad_tol_usage_error(self):
-        run_cli_expecting_exit(["exact", "--tol", "-1"], 2)
-        run_cli_expecting_exit(["exact", "--tol", "0"], 2)
-        run_cli_expecting_exit(["exact", "--tol", "1e-20"], 2)  # below float floor
+    def test_bad_tol_usage_error(self, capsys):
+        assert_usage_error(["exact", "--tol", "-1"], capsys)
+        assert_usage_error(["exact", "--tol", "0"], capsys)
+        assert_usage_error(["exact", "--tol", "1e-20"], capsys)  # below float floor
 
     @pytest.mark.parametrize("tol", ["inf", "nan"])
-    def test_non_finite_tol_usage_error(self, tol, monkeypatch):
+    def test_non_finite_tol_usage_error(self, tol, capsys, monkeypatch):
         monkeypatch.setattr(chain, "pi0", no_run)
-        run_cli_expecting_exit(["exact", "--tol", tol, "--which", "pi0"], 2)
+        assert_usage_error(["exact", "--tol", tol, "--which", "pi0"], capsys)
 
-    def test_unknown_quantity_usage_error(self):
-        run_cli_expecting_exit(["exact", "--which", "bogus"], 2)
+    def test_unknown_quantity_usage_error(self, capsys):
+        assert_usage_error(["exact", "--which", "bogus"], capsys)
 
     def test_negative_n_max_usage_error(self, capsys):
         assert_usage_error(["exact", "--which", "pi_n", "--n-max", "-3"], capsys)
@@ -117,6 +117,11 @@ class TestExact:
         assert rc == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["quantity"] for r in rows] == [f"pi_{n}" for n in range(171)]
+
+    def test_n_max_capped(self, capsys, monkeypatch):
+        # past n = 170 every pi_n is 0 within its bound
+        monkeypatch.setattr(chain, "pi", no_run)
+        assert_usage_error(["exact", "--which", "pi_n", "--n-max", "171"], capsys)
 
 
 class TestSequences:
@@ -173,9 +178,9 @@ class TestSequences:
         finally:
             sys.set_int_max_str_digits(before)
 
-    def test_out_of_range(self):
-        run_cli_expecting_exit(["sequences", "--n-max", "0"], 2)
-        run_cli_expecting_exit(["sequences", "--n-max", "10001"], 2)
+    def test_out_of_range(self, capsys):
+        assert_usage_error(["sequences", "--n-max", "0"], capsys)
+        assert_usage_error(["sequences", "--n-max", "10001"], capsys)
 
 
 class TestSimulate:
@@ -266,23 +271,40 @@ class TestSimulate:
         assert rc == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DUMP_DIGESTS[t_max]
 
-    def test_missing_seed(self):
-        run_cli_expecting_exit(["simulate", "--mode", "fpp", "--height", "100"], 2)
+    def test_missing_seed(self, capsys):
+        assert_usage_error(["simulate", "--mode", "fpp", "--height", "100"], capsys)
 
-    def test_conflicting_horizons(self):
-        run_cli_expecting_exit(
+    def test_conflicting_horizons(self, capsys):
+        assert_usage_error(
             ["simulate", "--mode", "fpp", "--height", "100", "--t-max", "50",
-             "--seed", "1"], 2
+             "--seed", "1"], capsys
         )
 
-    def test_fpp_requires_height(self):
-        run_cli_expecting_exit(
-            ["simulate", "--mode", "fpp", "--t-max", "50", "--seed", "1"], 2
+    def test_fpp_requires_height(self, capsys):
+        assert_usage_error(
+            ["simulate", "--mode", "fpp", "--t-max", "50", "--seed", "1"], capsys
         )
 
     def test_zero_samples_usage_error(self, capsys):
         # one sample has no standard error; the run must not print "± 0"
         for samples in ("0", "1"):
+            assert_usage_error(
+                ["simulate", "--mode", "front", "--t-max", "1000", "--seed", "1",
+                 "--report", "residual", "--samples", samples], capsys
+            )
+
+    def test_residual_window_too_short_usage_error(self, capsys):
+        # the sample times end 50 time units before the run does
+        run_cli_expecting_exit(["simulate", "--mode", "front", "--t-max", "120", "--seed", "1",
+                                "--report", "residual"], 2)
+        assert capsys.readouterr().err == (
+            "ladder-fpp: error: run too short for residual sampling\n")
+
+    def test_samples_capped(self, capsys, monkeypatch):
+        # 10^20 sample times ended, after the whole run, in numpy's
+        # "Maximum allowed dimension exceeded" traceback
+        monkeypatch.setattr(simulate, "simulate_front_chain", no_run)
+        for samples in ("1000001", "100000000000000000000"):
             assert_usage_error(
                 ["simulate", "--mode", "front", "--t-max", "1000", "--seed", "1",
                  "--report", "residual", "--samples", samples], capsys
@@ -294,7 +316,8 @@ class TestSimulate:
         ["--mode", "front", "--t-max", "inf", "--seed", "1"],
         ["--mode", "front", "--t-max", "100", "--burn-in", "nan", "--seed", "1"],
         ["--mode", "front", "--t-max", "100", "--burn-in", "inf", "--seed", "1"],
-    ], ids=["front_seed", "fpp_seed", "t_max_inf", "burn_in_nan", "burn_in_inf"])
+        ["--mode", "front", "--t-max", "100", "--seed", "x"],
+    ], ids=["front_seed", "fpp_seed", "t_max_inf", "burn_in_nan", "burn_in_inf", "seed_not_int"])
     def test_bad_seed_or_horizon_usage_error(self, argv, capsys, monkeypatch):
         for engine in ("simulate_front_chain", "simulate_fpp_ladder", "fpp_time_constant"):
             monkeypatch.setattr(simulate, engine, no_run)
@@ -345,11 +368,11 @@ class TestSimulate:
             "ladder-fpp: error: --mode fpp requires --replicates N >= 2 "
             "(a standard error needs two replicates)\n")
 
-    def test_replicates_front_rejected(self):
+    def test_replicates_front_rejected(self, capsys):
         for reps in ("2", "1"):
-            run_cli_expecting_exit(
+            assert_usage_error(
                 ["simulate", "--mode", "front", "--t-max", "100", "--seed", "1",
-                 "--replicates", reps], 2
+                 "--replicates", reps], capsys
             )
 
 

@@ -1,14 +1,15 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from ladder_fpp.chain import pi, pi0
+from ladder_fpp.chain import front_distribution, pi, pi0
 from ladder_fpp.constants import (
     avg_residual_time,
     avg_residual_time_direct,
     gamma_residual,
-    gamma_residual_recursion,
+    gamma_residual_terms,
     headline_constants,
     time_constant,
 )
@@ -50,8 +51,7 @@ class TestGammaResidual:
     def test_boundary_values(self):
         assert gamma_residual(0) == Fraction(1, 2)
         assert gamma_residual(1) == Fraction(2, 3)
-        assert gamma_residual_recursion(0) == Fraction(1, 2)
-        assert gamma_residual_recursion(1) == Fraction(2, 3)
+        assert list(islice(gamma_residual_terms(), 2)) == [Fraction(1, 2), Fraction(2, 3)]
 
     def test_small_values(self):
         assert gamma_residual(2) == Fraction(17, 24)
@@ -119,6 +119,19 @@ class TestAverageResidualTime:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             avg_residual_time(-1e-3)
+
+
+@pytest.mark.parametrize("compute", [
+    pi0, lambda tol: pi(3, tol), lambda tol: front_distribution(5, tol), time_constant,
+    avg_residual_time, avg_residual_time_direct, headline_constants,
+], ids=["pi0", "pi", "front_distribution", "time_constant", "avg_residual_time",
+        "avg_residual_time_direct", "headline_constants"])
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, 1e-323])
+def test_tol_contract(compute, tol):
+    # the one check in bessel_j, reached with tol or a fixed part of it
+    # (1e-323 / 16 underflows to 0.0)
+    with pytest.raises(ValueError, match=r"^tol must be > 0$"):
+        compute(tol)
 
 
 class TestHeadlineConstants:

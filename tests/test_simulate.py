@@ -1,5 +1,7 @@
+import concurrent.futures
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -170,8 +172,6 @@ def synthetic_record(inf: np.ndarray, horizon: float) -> FppRecord:
         initial="both_nodes",
         rail_weights=np.full((2, size), np.nan),
         rung_weights=np.full(size, np.nan),
-        seed=0,
-        replicate=0,
     )
 
 
@@ -464,6 +464,34 @@ class TestFppLadder:
         assert est.n_samples == 8
         tau = time_constant(1e-10).value
         assert abs(est.mean - tau) <= 6 * est.std_err  # loose: small H has O(1/H) bias
+
+    @pytest.mark.parametrize("jobs, replicates, cpus, workers", [
+        (100_000, 2, 8, 2), (4, 5, 2, 2), (3, 5, 8, 3), (2, 3, None, 1)])
+    def test_worker_count_bounded(self, jobs, replicates, cpus, workers, monkeypatch):
+        # a pool of `jobs` workers forks them all at its first submit; this
+        # fake pool records its size and maps serially, so no process starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = SimConfig(seed=11, mode="fpp_dijkstra", target_height=50, replicates=replicates)
+        est, values = fpp_time_constant(cfg, jobs)
+        assert sizes == ([workers] if workers > 1 else [])
+        serial, serial_values = fpp_time_constant(cfg)
+        assert est == serial and np.array_equal(values, serial_values)
 
     def test_single_node_start(self):
         cfg = SimConfig(

@@ -16,7 +16,7 @@ EXPORTED = [
     "HeadlineConstants", "QRow", "SimConfig", "SimEstimate", "avg_residual_time",
     "avg_residual_time_direct", "bessel_j", "bessel_y", "empirical_front_distribution",
     "empirical_residual_time", "fpp_time_constant", "front_distribution", "front_of_fpp",
-    "front_state_at", "front_transition_stats", "gamma_residual", "gamma_residual_recursion",
+    "front_state_at", "front_transition_stats", "gamma_residual",
     "headline_constants", "height_rate_estimate", "make_stream", "pi", "pi0", "q_row", "seq",
     "simulate_fpp_ladder", "simulate_front_chain", "stationary_truncated_solve",
     "time_constant", "upsilon", "upsilon_analytic",
