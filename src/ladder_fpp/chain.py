@@ -44,13 +44,12 @@ SEQ_INDEX_CAP = 10_000
 
 @dataclass(frozen=True)
 class QRow:
-    """One row of the front-chain intensity matrix.
+    """Row n of the front-chain intensity matrix, as `q_row(n)` returns it.
 
     `entries` maps target states to off-diagonal rates; the diagonal is
-    -(state + 2) so that the row sums to zero.
+    -(n + 2) so that the row sums to zero.
     """
 
-    state: int
     entries: dict[int, int]
     diagonal: int
 
@@ -67,11 +66,11 @@ def q_row(n: int) -> QRow:
     if n < 0:
         raise ValueError("state must be >= 0")
     if n == 0:
-        return QRow(0, {1: 2}, -2)
+        return QRow({1: 2}, -2)
     entries = {j: 1 for j in range(n - 1)}
     entries[n - 1] = 2
     entries[n + 1] = 1
-    return QRow(n, entries, -(n + 2))
+    return QRow(entries, -(n + 2))
 
 
 # ---------------------------------------------------------------------------

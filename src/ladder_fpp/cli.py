@@ -274,6 +274,10 @@ def cmd_validate(args) -> int:
 PROG = "ladder-fpp"
 PI_N_CAP = 170  # the largest n with n! a finite double; pi_170 ~ 2e-311 is 0 within its bound
 SAMPLES_CAP = 10 ** 6  # residual sample times; 10^6 add about 40 MB to the peak of a run
+# horizons: a Dijkstra run keeps about 42 B per ladder column and a chain run
+# about 68 B per unit of t_max, so about 0.4 and 0.7 GB at these caps
+HEIGHT_CAP = 10 ** 7
+T_MAX_CAP = 1e7
 
 
 class UsageError(Exception):
@@ -312,11 +316,16 @@ def _int_in(lo: int, hi: int):
     return integer
 
 
-def _positive_float(text: str) -> float:
-    x = float(text)
-    if not 0 < x < np.inf:
-        raise argparse.ArgumentTypeError(f"{text} is not a finite number > 0")
-    return x
+def _positive_float(hi: float = np.inf):
+    """argparse type: a finite number x > 0, with x <= hi."""
+    def number(text: str) -> float:
+        x = float(text)  # argparse reports a ValueError as "invalid number value"
+        if not 0 < x < np.inf:
+            raise argparse.ArgumentTypeError(f"{text} is not a finite number > 0")
+        if x > hi:
+            raise argparse.ArgumentTypeError(f"{text} is above the cap {hi:g}")
+        return x
+    return number
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("exact", help="closed-form constants with error bounds")
-    pe.add_argument("--tol", type=_positive_float, default=1e-10)
+    pe.add_argument("--tol", type=_positive_float(), default=1e-10)
     pe.add_argument("--which", default="pi0,tau,T",
                     help="comma list from pi0,tau,T,pi_n")
     pe.add_argument("--n-max", type=_int_in(0, PI_N_CAP), default=10, help="largest n for pi_n")
@@ -343,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--mode", choices=["front", "fpp"], required=True)
     pm.add_argument("--seed", type=int, required=True)
     g = pm.add_mutually_exclusive_group(required=True)
-    g.add_argument("--height", type=int, default=None)
-    g.add_argument("--t-max", type=float, default=None)
+    g.add_argument("--height", type=_int_in(1, HEIGHT_CAP), default=None)
+    g.add_argument("--t-max", type=_positive_float(T_MAX_CAP), default=None)
     pm.add_argument("--replicates", type=int, default=None,
                     help="independent replicates for --mode fpp (required, at least 2)")
     pm.add_argument("--initial", choices=["both", "single"], default="both")

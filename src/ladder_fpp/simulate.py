@@ -394,6 +394,9 @@ def fpp_time_constant(cfg: SimConfig, jobs: int = 1) -> tuple[SimEstimate, np.nd
     processes; returns (estimate, per-replicate values), the same for any count."""
     if cfg.mode != "fpp_dijkstra":
         raise ValueError("cfg.mode must be 'fpp_dijkstra'")
+    if cfg.replicates < 2:
+        raise ValueError("fpp_time_constant needs replicates >= 2 (a standard error "
+                         "needs two replicates)")
     args = [(cfg, r) for r in range(cfg.replicates)]
     workers = min(jobs, cfg.replicates, os.cpu_count() or 1)
     if workers > 1:
@@ -405,7 +408,7 @@ def fpp_time_constant(cfg: SimConfig, jobs: int = 1) -> tuple[SimEstimate, np.nd
         out = [_replicate_passage(a) for a in args]
     values = np.array([v for _, v in out])
     mean = float(values.mean())
-    se = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
+    se = float(values.std(ddof=1) / np.sqrt(len(values)))
     return SimEstimate(mean, se, len(values), "tau"), values
 
 
@@ -615,18 +618,37 @@ def front_of_fpp(record: FppRecord) -> FrontPath:
 def front_transition_stats(path: FrontPath):
     """(counts, exposure): jump counts per (from, to) pair and time spent per
     state, censored at the path horizon.  counts[s][s'] / exposure[s] estimates
-    the generator rate q(s, s')."""
-    counts: dict[int, dict[int, int]] = {}
+    the generator rate q(s, s').
+
+    The jumps kept are those at or before end_time (the jump times are
+    nondecreasing); the state in force at the last of them adds the censored
+    time up to end_time, if any.
+    """
     n_states = int(max(path.initial_state, path.states.max() if len(path.states) else 0)) + 1
-    exposure = np.zeros(n_states)
-    s = path.initial_state
-    t = path.start_time
-    for jt, ns in zip(path.times, path.states):
-        if jt > path.end_time:
-            break
-        exposure[s] += jt - t
-        counts.setdefault(s, {}).setdefault(int(ns), 0)
-        counts[s][int(ns)] += 1
-        s, t = int(ns), float(jt)
-    exposure[s] += max(0.0, path.end_time - t)
+    k = int(np.searchsorted(path.times, path.end_time, side="right"))
+    visited = np.concatenate(([path.initial_state], path.states[:k]))
+    held = np.diff(path.times[:k], prepend=path.start_time)
+    counts, exposure = _transition_stats(visited[:-1], visited[1:], held, n_states)
+    last = path.times[k - 1] if k else path.start_time
+    exposure[visited[-1]] += max(0.0, path.end_time - last)
     return counts, exposure
+
+
+def _transition_stats(before: np.ndarray, after: np.ndarray, held: np.ndarray,
+                      n_states: int):
+    """(counts, exposure) of jumps before[i] -> after[i], each made after
+    holding held[i] in before[i]; states lie below n_states.
+
+    The pairs are counted by one bincount of their codes before * n_states +
+    after.  The exposure bincount adds each state's holding times in event
+    order, as a running `exposure[s] += held` would (numpy types it int64
+    when there are no events, hence the cast).
+    """
+    pairs = np.bincount(before * n_states + after)
+    codes = np.flatnonzero(pairs)
+    counts: dict[int, dict[int, int]] = {}
+    for code, k in zip(codes.tolist(), pairs[codes].tolist()):
+        s, t = divmod(code, n_states)
+        counts.setdefault(s, {})[t] = k
+    exposure = np.bincount(before, weights=held, minlength=n_states)
+    return counts, exposure.astype(np.float64, copy=False)

@@ -3,7 +3,8 @@
 Everything here is deliberately separate from the package implementation:
 exact-rational Bessel partial sums with alternating-series remainder bounds,
 plain-int recursions for a_n, b_n and Upsilon, and a brute-force
-shortest-path search over an explicit edge list.
+shortest-path search over an explicit edge list, and the event-by-event
+count of front transitions.
 """
 
 from fractions import Fraction
@@ -81,3 +82,21 @@ def brute_force_passage_times(edges: dict, sources: list) -> dict:
         if not changed:
             break
     return dist
+
+
+def transition_stats_loop(path) -> tuple[dict, list]:
+    """(counts, exposure) of a FrontPath one jump at a time: counts[s][s'] of
+    the jumps at or before end_time, and the time held in each state, with
+    the censored time from the last of them to end_time (if any)."""
+    counts: dict = {}
+    exposure = [0.0] * (max([path.initial_state, *path.states.tolist()]) + 1)
+    s, t = path.initial_state, path.start_time
+    for jt, ns in zip(path.times.tolist(), path.states.tolist()):
+        if jt > path.end_time:
+            break
+        exposure[s] += jt - t
+        counts.setdefault(s, {}).setdefault(ns, 0)
+        counts[s][ns] += 1
+        s, t = ns, jt
+    exposure[s] += max(0.0, path.end_time - t)
+    return counts, exposure

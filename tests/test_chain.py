@@ -43,7 +43,7 @@ class TestQRow:
     @pytest.mark.parametrize("n", range(0, 51))
     def test_generator_validity(self, n, monkeypatch):
         # the registry check reaches row n: a wrong diagonal there fails it
-        monkeypatch.setattr(chain, "q_row", lambda k: QRow(k, q_row(k).entries, -2 - k - (k == n)))
+        monkeypatch.setattr(chain, "q_row", lambda k: QRow(q_row(k).entries, -2 - k - (k == n)))
         assert checks.check_generator_rows() == (
             "generator_rows", False, f"diagonal wrong at state {n}")
 
@@ -268,7 +268,7 @@ class TestTruncatedSolve:
         def bad_q_row(n):
             row = q_row(n)
             if n == 2:  # break one rate
-                return chain.QRow(2, {0: 1, 1: 1, 3: 1}, -4)
+                return chain.QRow({0: 1, 1: 1, 3: 1}, -4)
             return row
 
         monkeypatch.setattr(chain, "q_row", bad_q_row)

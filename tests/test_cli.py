@@ -310,6 +310,26 @@ class TestSimulate:
                  "--report", "residual", "--samples", samples], capsys
             )
 
+    def test_height_capped(self, capsys, monkeypatch):
+        # a Dijkstra run allocates about 42 B per ladder column before it starts
+        for engine in ("simulate_front_chain", "fpp_time_constant"):
+            monkeypatch.setattr(simulate, engine, no_run)
+        for mode in (["fpp", "--replicates", "2"], ["front"]):
+            for height in ("10000001", "100000000000000000000"):
+                assert_usage_error(["simulate", "--mode", *mode, "--height", height,
+                                    "--seed", "1"], capsys)
+            with pytest.raises(AssertionError, match="started a run"):  # the cap is accepted
+                main(["simulate", "--mode", *mode, "--height", "10000000", "--seed", "1"])
+
+    def test_t_max_capped(self, capsys, monkeypatch):
+        # a chain run presizes about 68 B per unit of t_max
+        monkeypatch.setattr(simulate, "simulate_front_chain", no_run)
+        for t_max in ("10000001", "1e300"):
+            assert_usage_error(["simulate", "--mode", "front", "--t-max", t_max,
+                                "--seed", "1"], capsys)
+        with pytest.raises(AssertionError, match="started a run"):  # the cap is accepted
+            main(["simulate", "--mode", "front", "--t-max", "1e7", "--seed", "1"])
+
     @pytest.mark.parametrize("argv", [
         ["--mode", "front", "--t-max", "100", "--seed", "-1"],
         ["--mode", "fpp", "--height", "10", "--replicates", "2", "--seed", "-1"],
@@ -394,7 +414,7 @@ class TestValidate:
 
         def bad_q_row(n):
             if n == 3:
-                return QRow(3, {0: 1, 1: 1, 2: 2, 4: 2}, -5)  # wrong rates
+                return QRow({0: 1, 1: 1, 2: 2, 4: 2}, -5)  # wrong rates
             return real(n)
 
         monkeypatch.setattr(chain, "q_row", bad_q_row)

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ladder_fpp import simulate
 from ladder_fpp.chain import pi, pi0, q_row
@@ -26,7 +27,7 @@ from ladder_fpp.simulate import (
     simulate_front_chain,
 )
 
-from oracles import brute_force_passage_times
+from oracles import brute_force_passage_times, transition_stats_loop
 
 SEED = 20260808
 
@@ -136,6 +137,69 @@ PINNED_ESTIMATORS = {
 }
 
 
+# sha256 of every front_of_fpp field (the four arrays' bytes, then repr of
+# start, end, initial state and height) and of front_transition_stats (repr
+# of the sorted (from, to, count) triples, then the exposure's shape and
+# bytes), for (seed, target_height, initial); recorded from the earlier
+# implementation that counted transitions event by event in Python
+PINNED_FRONT = {
+    (5, 1, "both_nodes"): (
+        "a9d4c48297042ebdf82b8596483b9cdb4a2a8100d72a84ae0d83811459fd6670",
+        "6d06ed92cd91fa392437d6c1e54e9348a3b2207ee02ea3fcff22f98d7c53739d"),
+    (5, 1, "single_node"): (
+        "16578ea68cd63929a282b8aac13f81480ca7ae877fa10ba630941aa6e6803c64",
+        "9c1603d79d9cccf5e5bdd40631bfc8adff1f3e4828d732d5fe256f7e8263b2e1"),
+    (5, 7, "both_nodes"): (
+        "2a44053bbdaf83787268d2b72bcc8ef204ffee33d4e3749d9eaf1f254566343d",
+        "1b0e89abc63431f542954e1e184c895302e36abc204299df554d5cbf3cc7c832"),
+    (5, 7, "single_node"): (
+        "7cacc856c5798a0d47bd7af6123880b9b3a6e4febabba63b4fdf4b964f367fd4",
+        "b8686e49f811abb15e58456ec1882c27d55fe146ece5175f63f94c60e2f24939"),
+    (5, 2000, "both_nodes"): (
+        "3fa29a6d894bc7dcc4e626f311ed38bbb2929f8dad21dc4d70eb2587569ad7d0",
+        "5e6ba6e4025a58afa567cd1f44bd1c850cbdd3baf3df950fa3b9753358f78444"),
+    (5, 2000, "single_node"): (
+        "820a1be13dd82c19abcb7362142983907d2c27c67acb4dbb79e9651db3901ef7",
+        "df1e5c37f65009960672098f98abc3d2c0d8a4ab1d95a4593d1da77d909d0a66"),
+    (2026, 1, "both_nodes"): (
+        "5eca92c2b3d92b3bd59bef4659771430730320ca6c583849c84f6b007949eea3",
+        "e2e0e4d6dcb2bd5002d18b32b5343069efa446fd6d18ec907496c47a3419765f"),
+    (2026, 1, "single_node"): (
+        "abcfae9191852775bd0489c4939e9fc81cc9401f2a001d2e723001f7fc591069",
+        "a859c1dfcb4b07bb06bd1de680feb6c6e909594704decd8d8fd135c2e7b1daf6"),
+    (2026, 7, "both_nodes"): (
+        "f43d4a3e05f50ee802fcb5873047b9029d1963fb846e549acae8ff6f40fa70aa",
+        "d15ce82b0541b3caf7377cbfc423b191441451623ce450f6f51abcc871db38ec"),
+    (2026, 7, "single_node"): (
+        "583aae3b7c01426d138679a60d00468db284478fb307765f59a0506677f5c313",
+        "0d0b6d40e8fde4c37198566efb426f353332280a3306f198fd7cac68a96f4edf"),
+    (2026, 2000, "both_nodes"): (
+        "a00bf48c1bd654c47ebd2f7c83117594937ecb623e0dedc2eb86aa45c17d96d0",
+        "06a24e55ad344ade443c0742932df6110b1dc69f4303a4dfd18818068901d441"),
+    (2026, 2000, "single_node"): (
+        "291c89c9a4c4ff0101389dd0612ebed58c56549f847cc5f856a1d48a4b45ff28",
+        "c4097b681e77c30cdc7f47ba712e7a9384c159d9f6e57ff2987459a1cff80c77"),
+    (7, 100_000, "both_nodes"): (
+        "2b55839b4988b076ae8219dc4e9053e8f19d98fb54e9700985ddf62a05afaef5",
+        "0775c68e40375a41ec98ac38f84f456235b342d1bad4b6679206705750271e90"),
+}
+
+
+def front_digests(path: FrontPath) -> tuple[str, str]:
+    h = hashlib.sha256()
+    for a in (path.times, path.states, path.height_times, path.heights):
+        h.update(a.tobytes())
+    h.update(repr((path.start_time, path.end_time, path.initial_state,
+                   path.initial_height)).encode())
+    counts, exposure = front_transition_stats(path)
+    g = hashlib.sha256()
+    g.update(repr(sorted((s, t, k) for s, row in counts.items()
+                         for t, k in row.items())).encode())
+    g.update(repr(exposure.shape).encode())
+    g.update(exposure.tobytes())
+    return h.hexdigest(), g.hexdigest()
+
+
 def chain_digest(traj: ChainTrajectory) -> str:
     h = hashlib.sha256()
     for a in (traj.states, traj.holding_times, traj.height_incremented):
@@ -190,6 +254,13 @@ def estimator_samples(traj: ChainTrajectory, burn_in: float, seed: int) -> np.nd
     return np.concatenate([burn_in + (traj.total_time - burn_in) * u,
                            inc_times[::max(1, len(inc_times) // 50)],
                            np.linspace(burn_in, traj.total_time, 11)])
+
+
+@pytest.fixture(scope="module")
+def pinned_front_records():
+    return {(seed, height, initial): simulate_fpp_ladder(SimConfig(
+                seed=seed, mode="fpp_dijkstra", target_height=height, initial=initial))
+            for seed, height, initial in PINNED_FRONT}
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +366,23 @@ class TestFrontChain:
         monkeypatch.setattr(simulate, "_expected_events", lambda cfg: 1)
         for key in PINNED_CHAIN:
             check_pinned_chain(key)
+
+    def test_jump_rates_match_generator(self):
+        # the Gillespie jump rule through the counter of front_transition_stats:
+        # every jump is in the support of q_row, and each rate out of states
+        # 0-3 is within 4 sigma of q_row, sigma = sqrt(q / exposure)
+        traj = simulate_front_chain(SimConfig(seed=7, mode="front_chain", t_max=1e5))
+        after = np.append(traj.states[1:], traj.final_state)
+        n_states = int(after.max()) + 1
+        counts, exposure = simulate._transition_stats(traj.states, after,
+                                                      traj.holding_times, n_states)
+        assert exposure.sum() == pytest.approx(traj.total_time, rel=1e-12)
+        for s, row in counts.items():
+            assert all(q_row(s).entries.get(t, 0) > 0 for t in row), s
+        for s in range(4):
+            for t, q in q_row(s).entries.items():
+                rate = counts[s].get(t, 0) / exposure[s]
+                assert abs(rate - q) <= 4 * math.sqrt(q / exposure[s]), (s, t)
 
     def test_state_cap(self, monkeypatch):
         monkeypatch.setattr(simulate, "STATE_CAP", 3)
@@ -465,6 +553,15 @@ class TestFppLadder:
         tau = time_constant(1e-10).value
         assert abs(est.mean - tau) <= 6 * est.std_err  # loose: small H has O(1/H) bias
 
+    def test_one_replicate_refused(self, monkeypatch):
+        # one replicate has no standard error; no "± 0" is returned
+        monkeypatch.setattr(simulate, "simulate_fpp_ladder",
+                            lambda *args: pytest.fail("a refused request started a run"))
+        cfg = SimConfig(seed=1, mode="fpp_dijkstra", target_height=50)
+        with pytest.raises(ValueError, match=r"^fpp_time_constant needs replicates >= 2 "
+                                             r"\(a standard error needs two replicates\)$"):
+            fpp_time_constant(cfg)
+
     @pytest.mark.parametrize("jobs, replicates, cpus, workers", [
         (100_000, 2, 8, 2), (4, 5, 2, 2), (3, 5, 8, 3), (2, 3, None, 1)])
     def test_worker_count_bounded(self, jobs, replicates, cpus, workers, monkeypatch):
@@ -506,6 +603,10 @@ class TestFppLadder:
 
 
 class TestFrontOfFpp:
+    @pytest.mark.parametrize("key", sorted(PINNED_FRONT))
+    def test_pinned_digest(self, key, pinned_front_records):
+        assert front_digests(front_of_fpp(pinned_front_records[key])) == PINNED_FRONT[key]
+
     def test_initial_state_both(self):
         cfg = SimConfig(seed=21, mode="fpp_dijkstra", target_height=100)
         path = front_of_fpp(simulate_fpp_ladder(cfg))
@@ -556,6 +657,26 @@ class TestFrontOfFpp:
                          height_times=np.array([]), heights=np.array([], dtype=np.int64))
         counts, exposure = front_transition_stats(path)
         assert counts == {} and exposure.tolist() == [0.0, 0.0, 0.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_stats_match_loop(self, data):
+        # tied jumps, jumps past the horizon, a horizon on a jump or before the
+        # start: the same counts and exposure bits as the event-by-event count
+        gaps = st.sampled_from([0.0, 1e-17, 0.1, 0.25, 3.0]) | st.floats(0, 10)
+        start = data.draw(st.floats(0, 5))
+        times = np.cumsum([start] + data.draw(st.lists(gaps, max_size=30)))[1:]
+        states = np.array(data.draw(st.lists(st.integers(0, 6), min_size=len(times),
+                                             max_size=len(times))), dtype=np.int64)
+        end = data.draw(st.sampled_from(times.tolist()) | st.floats(-1, 200)
+                        if len(times) else st.floats(-1, 200))
+        path = FrontPath(start_time=start, end_time=end, initial_state=data.draw(st.integers(0, 6)),
+                         initial_height=0, times=times, states=states,
+                         height_times=np.array([]), heights=np.array([], dtype=np.int64))
+        counts, exposure = front_transition_stats(path)
+        loop_counts, loop_exposure = transition_stats_loop(path)
+        assert counts == loop_counts and exposure.dtype == np.float64
+        assert exposure.tobytes() == np.array(loop_exposure).tobytes()
 
     def test_never_both_levels(self):
         inf = np.full((2, 5), np.inf)
