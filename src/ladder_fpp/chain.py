@@ -17,14 +17,17 @@ equations, which never consults the closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal, Inexact
 from itertools import count, islice
+from operator import mul
 from typing import Iterator
 
-import numpy as np
-
+from ._deferred import DeferredNumpy
 from .bessel import EXACT, BoundedReal, _within_tol, bessel_j, upsilon_terms
+
+np = DeferredNumpy(globals())
 
 __all__ = [
     "QRow",
@@ -189,32 +192,62 @@ def front_distribution(K: int, tol: float = 1e-13) -> FrontDistribution:
 
 
 def stationary_truncated_solve(K: int) -> FrontDistribution:
-    """Independent oracle for Pi: dense solve of the truncated balance system.
+    """Independent oracle for Pi: a solve of the truncated balance system.
 
     Unknowns pi_0..pi_K.  Equations: (Pi Q)_j = 0 for columns j = 0..K-1
     (states beyond K carry zero mass), plus normalization sum = 1 in place
-    of column K, which is the column most polluted by truncation.  One step
+    of column K, which is the column most polluted by truncation.  Apart
+    from that last row the system is upper Hessenberg (a state n reaches
+    only n + 1 upward), so Gaussian elimination with partial pivoting
+    clears at most two entries per column, in O(K^2) operations.  One step
     of iterative refinement pushes the solve to near machine accuracy;
     entries whose true value sits below the ~1e-16 float noise floor may
     come out with either sign.
     """
     if K < 5:
         raise ValueError("K must be >= 5")
-    A = np.zeros((K + 1, K + 1))
+    return FrontDistribution(np.array(_truncated_probs(K)), _tail_bound(K), K)
+
+
+def _truncated_probs(K: int) -> list[float]:
+    """The solution of `stationary_truncated_solve`'s system, in pure Python."""
+    # M[j][n] is the rate from n into j for j < K; row K is the normalization
+    M = [[0.0] * (K + 1) for _ in range(K)] + [[1.0] * (K + 1)]
     for n in range(K + 1):
         row = q_row(n)
-        A[n, n] = row.diagonal
-        for j, rate in row.entries.items():
-            if j <= K:
-                A[n, j] = rate
-    M = np.zeros((K + 1, K + 1))
-    M[:K, :] = A.T[:K, :]
-    M[K, :] = 1.0
-    rhs = np.zeros(K + 1)
-    rhs[K] = 1.0
-    try:
-        x = np.linalg.solve(M, rhs)
-        x += np.linalg.solve(M, rhs - M @ x)
-    except np.linalg.LinAlgError as exc:  # signals a Q-construction bug
+        for j, rate in [(n, row.diagonal), *row.entries.items()]:
+            if j < K:
+                M[j][n] = float(rate)
+    U = [r[:] for r in M]  # becomes the upper factor
+    steps = []  # per column: the pivot row, then each row below with its multiplier
+
+    def solve(b: list[float]) -> list[float]:
+        b = b[:]
+        for c, (p, below) in enumerate(steps):
+            b[c], b[p] = b[p], b[c]
+            for r, m in below:
+                b[r] -= m * b[c]
+        for j in range(K, -1, -1):  # back substitution by columns, as LAPACK
+            b[j] /= U[j][j]
+            for i in range(j):
+                b[i] -= b[j] * U[i][j]
+        return b
+
+    try:  # a zero pivot divides by zero
+        for c in range(K):
+            rows = (c, c + 1, K) if c + 1 < K else (c, K)  # the only nonzeros in column c
+            p = max(rows, key=lambda r: abs(U[r][c]))  # the first of equals, as LAPACK
+            U[c], U[p] = U[p], U[c]
+            pivot = U[c]
+            below = []
+            for r in rows[1:]:
+                m = U[r][c] / pivot[c]
+                U[r][c + 1:] = [a - m * b for a, b in zip(U[r][c + 1:], pivot[c + 1:])]
+                below.append((r, m))
+            steps.append((p, below))
+        rhs = [0.0] * K + [1.0]
+        x = solve(rhs)
+        d = solve([r - math.fsum(map(mul, row, x)) for r, row in zip(rhs, M)])
+    except ZeroDivisionError as exc:  # signals a Q-construction bug
         raise RuntimeError("truncated balance system is singular; q_row is broken") from exc
-    return FrontDistribution(x, _tail_bound(K), K)
+    return [a + b for a, b in zip(x, d)]

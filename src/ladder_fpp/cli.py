@@ -18,13 +18,15 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from . import chain, checks, constants, simulate
+from ._deferred import DeferredNumpy
+
+np = DeferredNumpy(globals())
 
 __all__ = ["main", "entry", "OutputRecord"]
 
@@ -186,6 +188,8 @@ def cmd_simulate(args) -> int:
     if mode == "fpp_dijkstra" and (args.replicates is None or args.replicates < 2):
         raise UsageError("--mode fpp requires --replicates N >= 2 (a standard error "
                          "needs two replicates)")
+    if mode == "fpp_dijkstra" and args.replicates > REPLICATES_CAP:
+        raise UsageError(f"--replicates {args.replicates} is above the cap {REPLICATES_CAP}")
     if args.dump_trajectory and mode != "front_chain":
         raise UsageError("--dump-trajectory applies to --mode front only")
     try:
@@ -274,6 +278,7 @@ def cmd_validate(args) -> int:
 PROG = "ladder-fpp"
 PI_N_CAP = 170  # the largest n with n! a finite double; pi_170 ~ 2e-311 is 0 within its bound
 SAMPLES_CAP = 10 ** 6  # residual sample times; 10^6 add about 40 MB to the peak of a run
+REPLICATES_CAP = 10 ** 5  # --mode fpp keeps about 170 B per replicate, 17 MB at the cap
 # horizons: a Dijkstra run keeps about 42 B per ladder column and a chain run
 # about 68 B per unit of t_max, so about 0.4 and 0.7 GB at these caps
 HEIGHT_CAP = 10 ** 7
@@ -316,11 +321,11 @@ def _int_in(lo: int, hi: int):
     return integer
 
 
-def _positive_float(hi: float = np.inf):
+def _positive_float(hi: float = math.inf):
     """argparse type: a finite number x > 0, with x <= hi."""
     def number(text: str) -> float:
         x = float(text)  # argparse reports a ValueError as "invalid number value"
-        if not 0 < x < np.inf:
+        if not 0 < x < math.inf:
             raise argparse.ArgumentTypeError(f"{text} is not a finite number > 0")
         if x > hi:
             raise argparse.ArgumentTypeError(f"{text} is above the cap {hi:g}")

@@ -23,7 +23,9 @@ from array import array
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-import numpy as np
+from ._deferred import DeferredNumpy
+
+np = DeferredNumpy(globals())
 
 __all__ = [
     "SimConfig",

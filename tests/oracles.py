@@ -2,9 +2,9 @@
 
 Everything here is deliberately separate from the package implementation:
 exact-rational Bessel partial sums with alternating-series remainder bounds,
-plain-int recursions for a_n, b_n and Upsilon, and a brute-force
-shortest-path search over an explicit edge list, and the event-by-event
-count of front transitions.
+plain-int recursions for a_n, b_n and Upsilon, an exact-rational solve of
+the truncated balance system, a brute-force shortest-path search over an
+explicit edge list, and the event-by-event count of front transitions.
 """
 
 from fractions import Fraction
@@ -34,6 +34,30 @@ def pi_oracle(n: int, terms: int = 45) -> Fraction:
     if n == 0:
         return j_partial(0, terms) / denom
     return 2 * (j_partial(n + 2, terms) - j_partial(n + 3, terms)) / denom
+
+
+def truncated_solve_oracle(K: int) -> list[Fraction]:
+    """pi_0..pi_K solving the truncated balance system exactly, by
+    Gauss-Jordan elimination: (Pi Q)_j = 0 for j < K and sum pi = 1.  The
+    rates are written out here: 0 -> 1 at 2; from n >= 1, n -> n-1 at 2,
+    n -> j < n-1 and n -> n+1 at 1."""
+    def rate(n: int, j: int) -> int:  # from n into j
+        if n == j:
+            return -(n + 2)
+        if n == 0:
+            return 2 * (j == 1)
+        return 2 if j == n - 1 else int(j < n - 1 or j == n + 1)
+
+    rows = [[Fraction(rate(n, j)) for n in range(K + 1)] + [Fraction(0)] for j in range(K)]
+    rows.append([Fraction(1)] * (K + 2))
+    for c in range(K + 1):
+        p = next(r for r in range(c, K + 1) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        for r in range(K + 1):
+            if r != c and rows[r][c]:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return [row[K + 1] / row[i] for i, row in enumerate(rows)]
 
 
 def seq_oracle(kind: str, n: int) -> int:

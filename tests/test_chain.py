@@ -18,7 +18,7 @@ from ladder_fpp.chain import (
 from ladder_fpp.bessel import bessel_j, upsilon
 from ladder_fpp.checks import PI0_QUOTED, TABLE1_A, TABLE1_B
 
-from oracles import j_oracle, j_partial, pi_oracle, seq_oracle
+from oracles import j_oracle, j_partial, pi_oracle, seq_oracle, truncated_solve_oracle
 
 PI0_REF = 0.4647184276286947
 PI1_REF = 0.3941552828860841
@@ -250,6 +250,13 @@ class TestTruncatedSolve:
         sol = stationary_truncated_solve(25)
         for n in range(23):
             assert abs(sol.probs[n] - pi(n, 1e-13).value) <= max(1e-12, sol.tail_bound)
+
+    @pytest.mark.parametrize("K", [5, 8, 25, 60])
+    def test_exact_solve_agreement(self, K):
+        # within the ~1e-16 float noise floor of the exact rational solution
+        probs = stationary_truncated_solve(K).probs.tolist()
+        exact = truncated_solve_oracle(K)
+        assert max(abs(float(Fraction(p) - e)) for p, e in zip(probs, exact)) <= 2e-16
 
     def test_probs_properties(self):
         sol = stationary_truncated_solve(25)

@@ -330,6 +330,16 @@ class TestSimulate:
         with pytest.raises(AssertionError, match="started a run"):  # the cap is accepted
             main(["simulate", "--mode", "front", "--t-max", "1e7", "--seed", "1"])
 
+    def test_replicates_capped(self, capsys, monkeypatch):
+        # fpp_time_constant keeps about 170 B per replicate before the first one runs
+        for engine in ("simulate_fpp_ladder", "fpp_time_constant"):
+            monkeypatch.setattr(simulate, engine, no_run)
+        base = ["simulate", "--mode", "fpp", "--height", "10", "--seed", "1", "--replicates"]
+        for reps in ("100001", "100000000000000000000"):
+            assert_usage_error([*base, reps], capsys)
+        with pytest.raises(AssertionError, match="started a run"):  # the cap is accepted
+            main([*base, "100000"])
+
     @pytest.mark.parametrize("argv", [
         ["--mode", "front", "--t-max", "100", "--seed", "-1"],
         ["--mode", "fpp", "--height", "10", "--replicates", "2", "--seed", "-1"],
