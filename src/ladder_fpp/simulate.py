@@ -18,6 +18,8 @@ Exponentials are drawn by inverse CDF, -log1p(-U) with U uniform on [0, 1).
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 from array import array
 from dataclasses import dataclass
@@ -54,6 +56,8 @@ _SIZE_SLACK = 64  # ladder columns allocated past the target height
 _EVENTS_PER_TIME = 2.712
 _EVENTS_PER_STEP = 1.852
 _PRESIZE_CAP = 1 << 23  # events presized at most (210 MB); past it, doubling
+_WALK_STATES = 12  # states the pair table walks (at most 15: a pair packs into a byte)
+_CELLS = 360360  # lcm(3, ..., 13): the cells a jump draw's code is read from
 
 
 def make_stream(seed: int, replicate: int = 0) -> np.random.Generator:
@@ -133,12 +137,27 @@ def simulate_front_chain(cfg: SimConfig, replicate: int = 0) -> ChainTrajectory:
     is kept in full) or until cfg.target_height increments have occurred.
 
     Event k of a chunk consumes the k-th holding draw and the k-th jump draw
-    whatever the state, so the Python loop runs only the state recursion over
-    a whole chunk.  numpy then takes the holding times (correctly rounded
-    division, as in scalar code), the clock (a sequential cumsum seeded with
-    the carried time, the same additions as `t += dt`), the height increments
+    whatever the state, so `_chunk_states` walks the states of a whole chunk
+    first.  numpy then takes the holding times (correctly rounded division,
+    as in scalar code), the clock (a sequential cumsum seeded with the
+    carried time, the same additions as `t += dt`), the height increments
     and the first event that meets the stopping rule, and drops the rest of
     the chunk.  The clock is the trajectory's `jump_times`.
+
+    The walk is exact without a per-event float rule.  From state s >= 1 the
+    jump rule compares fl(r * (s + 2)) with 1, 3, 4, ..., s + 1, and fl(r * c)
+    does not decrease with r, so the next state is a step function of the
+    draw r.  Over states 1..11 its thresholds, the smallest doubles r with
+    fl(r * c) >= v, are 53 distinct doubles; they cut [0, 1) into 54 codes,
+    and a draw's code fixes its next state from every state below 12.  numpy
+    reads the codes: the cell int(r * 360360) holds at most one threshold
+    (the table build checks this), so code = base[cell] + (r >= thr[base[cell]]),
+    where base[cell] counts the thresholds in lower cells.  Python then walks
+    two events per step, `p = tab[p][c]`: p packs the states after both
+    events and c the two codes, and `tab[p]` is the one row of 54 x 54 small
+    ints for p's last state.  A state of 12 or more packs to a sentinel that
+    the walk never leaves; that chunk is walked again by the scalar rule, as
+    is a chunk that starts at 12 or more.
     """
     if cfg.mode != "front_chain":
         raise ValueError("cfg.mode must be 'front_chain'")
@@ -151,21 +170,8 @@ def simulate_front_chain(cfg: SimConfig, replicate: int = 0) -> ChainTrajectory:
     height = 0
     while True:
         e_hold = -np.log1p(-rng.random(_CHUNK))
-        path = [s]
-        push = path.append
-        for r in memoryview(rng.random(_CHUNK)):  # yields Python floats, no list
-            if s:
-                r *= s + 2
-                if r < 1.0:
-                    s += 1
-                elif r < 3.0:
-                    s -= 1
-                else:
-                    s = int(r - 3.0)
-            else:
-                s = 1
-            push(s)
-        visited = np.fromiter(path, np.int64, _CHUNK + 1)
+        visited = _chunk_states(s, rng.random(_CHUNK))
+        s = int(visited[-1])
         before, after = visited[:-1], visited[1:]
         up = after == before + 1  # every other jump lands below the state it left
         dt = e_hold / (before + 2)
@@ -198,6 +204,81 @@ def simulate_front_chain(cfg: SimConfig, replicate: int = 0) -> ChainTrajectory:
             break
     states, holds, incr, jumps = (a[:n_ev] for a in store)
     return ChainTrajectory(states, holds, incr, jumps, t, height, int(after[keep - 1]))
+
+
+def _scalar_walk(s: int, draws) -> list[int]:
+    """The jump rule: s, then the state after each draw in turn."""
+    path = [s]
+    push = path.append
+    for r in draws:
+        if s:
+            r *= s + 2
+            if r < 1.0:
+                s += 1
+            elif r < 3.0:
+                s -= 1
+            else:
+                s = int(r - 3.0)
+        else:
+            s = 1
+        push(s)
+    return path
+
+
+def _threshold(v: int, c: int) -> float:
+    """The smallest double r with fl(r * c) >= v; fl(r * c) grows with r."""
+    r = v / c
+    while r * c >= v:
+        r = math.nextafter(r, 0.0)
+    return math.nextafter(r, 1.0)
+
+
+@functools.cache
+def _walk_tables(n_states: int):
+    """(base, thr, step, tab) for the walk of `simulate_front_chain` over
+    states 0..n_states-1, built on first use.
+
+    thr holds the thresholds of states 1..n_states-1 in order, then 2.0, so
+    a draw's code k (the thresholds at or below it) indexes thr; base[cell]
+    counts the thresholds in lower cells; step[s][k] is the state after s
+    on a draw of code k.  From p's last state, draws of codes k1 then k2
+    lead to s1 then s2, and tab[p][k1 * len(thr) + k2] is s1 * n_states + s2,
+    or the sentinel n_states ** 2 once a state reaches n_states; the
+    sentinel's row holds only the sentinel.
+    """
+    thr = sorted({_threshold(v, c) for c in range(3, n_states + 2) for v in (1, *range(3, c))})
+    cells = [int(r * _CELLS) for r in thr]
+    if len(set(cells)) < len(cells):
+        raise AssertionError("a code cell holds two thresholds")
+    base = np.repeat(np.arange(len(thr) + 1, dtype=np.int8),
+                     np.diff([0, *(c + 1 for c in cells), _CELLS]))
+    lows = [0.0, *thr]  # the lowest draw of each code
+    step = [[_scalar_walk(s, [r])[1] for r in lows] for s in range(n_states)]
+    sentinel = n_states ** 2
+    past = [n_states] * len(lows)  # the pair after a state past the table
+    rows = [[s1 * n_states + s2 if s2 < n_states else sentinel
+             for s1 in step[s] for s2 in (step[s1] if s1 < n_states else past)]
+            for s in range(n_states)]
+    tab = [rows[p % n_states] for p in range(sentinel)] + [[sentinel] * len(lows) ** 2]
+    return base, np.array([*thr, 2.0]), step, tab
+
+
+def _chunk_states(s: int, draws: np.ndarray) -> np.ndarray:
+    """s and the state after each jump draw (an even count), as int64."""
+    n = _WALK_STATES
+    base, thr, _, tab = _walk_tables(n)
+    if s < n:
+        b = base[(draws * _CELLS).astype(np.intp)]
+        codes = (b + (draws >= thr[b])).astype(np.intp)
+        pairs = codes[0::2] * len(thr) + codes[1::2]
+        p = s
+        packed = [p := tab[p][c] for c in memoryview(pairs)]
+        if p < n * n:  # every state stayed below n
+            visited = np.empty(len(draws) + 1, np.int64)
+            visited[0] = s
+            visited[1::2], visited[2::2] = np.divmod(np.frombuffer(bytes(packed), np.uint8), n)
+            return visited
+    return np.fromiter(_scalar_walk(s, memoryview(draws)), np.int64, len(draws) + 1)
 
 
 def _grown(a: np.ndarray, n: int, cap: int) -> np.ndarray:

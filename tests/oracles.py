@@ -4,7 +4,8 @@ Everything here is deliberately separate from the package implementation:
 exact-rational Bessel partial sums with alternating-series remainder bounds,
 plain-int recursions for a_n, b_n and Upsilon, an exact-rational solve of
 the truncated balance system, a brute-force shortest-path search over an
-explicit edge list, and the event-by-event count of front transitions.
+explicit edge list, the event-by-event count of front transitions and the
+front chain's jump rule on one draw.
 """
 
 from fractions import Fraction
@@ -124,3 +125,17 @@ def transition_stats_loop(path) -> tuple[dict, list]:
         s, t = ns, jt
     exposure[s] += max(0.0, path.end_time - t)
     return counts, exposure
+
+
+def jump_oracle(s: int, r: float) -> int:
+    """The front chain's state after s on the uniform draw r, one float
+    product at a time: from 0 always 1; from s >= 1, x = r * (s + 2) picks
+    s + 1 below 1, s - 1 below 3, and state int(x - 3) above."""
+    if s == 0:
+        return 1
+    x = r * (s + 2)
+    if x < 1.0:
+        return s + 1
+    if x < 3.0:
+        return s - 1
+    return int(x - 3.0)

@@ -48,9 +48,11 @@ def test_cli_loads_every_traced_module():
 
 
 def test_numpy_rebound_after_first_use():
+    # the chain's walk tables too are built by the first run, not on import
     lines = fresh("import numpy\n"
                   "from ladder_fpp import simulate\n"
+                  "print(simulate._walk_tables.cache_info().currsize)\n"
                   "simulate.simulate_front_chain(simulate.SimConfig(seed=1, mode='front_chain', "
                   "t_max=10.0))\n"
-                  "print(simulate.np is numpy)")
-    assert lines == ["True"]
+                  "print(simulate.np is numpy, simulate._walk_tables.cache_info().currsize)")
+    assert lines == ["0", "True 1"]

@@ -1,3 +1,4 @@
+import bisect
 import concurrent.futures
 import hashlib
 import math
@@ -27,7 +28,7 @@ from ladder_fpp.simulate import (
     simulate_front_chain,
 )
 
-from oracles import brute_force_passage_times, transition_stats_loop
+from oracles import brute_force_passage_times, jump_oracle, transition_stats_loop
 
 SEED = 20260808
 
@@ -48,8 +49,12 @@ PINNED_SIZE = 2000 + 1 + 64  # columns of those records: H + 1 and 64 of slack
 # of repr((total_time, final_height, final_state)); recorded from the earlier
 # implementation that stepped the clock and height event by event.  t_max
 # 24150/24200 and target_height 35400/35450 end on either side of the first
-# 2^16-event chunk boundary; (5, target_height 35400, 0) ends on it exactly
+# 2^16-event chunk boundary; (5, target_height 35400, 0) ends on it exactly.
+# (7, t_max 1e6, 0) is the benchmark's front_chain trajectory, 2,711,738
+# events in 42 chunks; it was recorded from the scalar state loop, before the
+# pair-table walk replaced it
 PINNED_CHAIN = {
+    (7, "t_max", 1e6, 0): "5a6e2e3e64994cb87ec41337f3a2144a853c9fc202540c52e8ed2978e5cc80a4",
     (5, "t_max", 0.3, 0): "92055af5728e3444d14f3c14d79eb0dd98339df90d58d140bd1ba4e77bcdf8dd",
     (5, "t_max", 0.3, 3): "98ea971325b8ce319dc60ed197c9704d69a24f35f43e1489e13a7c3405dd1908",
     (5, "t_max", 24150.0, 0): "e72e51c2ca4de5c37af76a1796a42e79d9d010d2f5d9cefbd5c16571588e7837",
@@ -208,12 +213,13 @@ def chain_digest(traj: ChainTrajectory) -> str:
     return h.hexdigest()
 
 
-def check_pinned_chain(key) -> None:
+def check_pinned_chain(key) -> ChainTrajectory:
     seed, kind, value, replicate = key
     cfg = SimConfig(seed=seed, mode="front_chain", **{kind: value})
     traj = simulate_front_chain(cfg, replicate=replicate)
     assert chain_digest(traj) == PINNED_CHAIN[key], key
     assert traj.jump_times.tobytes() == np.cumsum(traj.holding_times).tobytes()
+    return traj
 
 
 def record_digest(rec: FppRecord, size: int | None = None) -> str:
@@ -383,6 +389,55 @@ class TestFrontChain:
             for t, q in q_row(s).entries.items():
                 rate = counts[s].get(t, 0) / exposure[s]
                 assert abs(rate - q) <= 4 * math.sqrt(q / exposure[s]), (s, t)
+
+    def test_codes_exact(self):
+        # every threshold of every state 1-11, where fl(r * (s + 2)) first
+        # reaches v, and both of its neighbours, through the code tables
+        base, thr, step, _ = simulate._walk_tables(simulate._WALK_STATES)
+        edges = thr[:-1].tolist()
+        for s in range(1, simulate._WALK_STATES):
+            c = s + 2
+            draws = [0.0, math.nextafter(1.0, 0.0)]
+            for v in (1, *range(3, c)):
+                r = v / c
+                while r * c < v:
+                    r = math.nextafter(r, 1.0)
+                while math.nextafter(r, 0.0) * c >= v:
+                    r = math.nextafter(r, 0.0)
+                draws += [math.nextafter(r, 0.0), r, math.nextafter(r, 1.0)]
+            for r in draws:
+                b = base[int(r * simulate._CELLS)]
+                code = b + (r >= thr[b])
+                assert code == bisect.bisect_right(edges, r), r
+                assert step[s][code] == jump_oracle(s, r), (s, r)
+
+    def test_code_cells_checked(self, monkeypatch):
+        # 1/12 and 1/13 are 100/156 of a cell apart
+        monkeypatch.setattr(simulate, "_CELLS", 100)
+        with pytest.raises(AssertionError, match="two thresholds"):
+            simulate._walk_tables.__wrapped__(simulate._WALK_STATES)
+
+    @pytest.mark.parametrize("s", range(14))
+    def test_chunk_states_match_rule(self, s):
+        # from 12 and 13 the chunk is walked by the scalar rule from the start
+        draws = make_stream(s).random(1 << 12)
+        expect = [s]
+        for r in draws.tolist():
+            expect.append(jump_oracle(expect[-1], r))
+        assert simulate._chunk_states(s, draws).tolist() == expect
+
+    def test_fallback_pinned(self, monkeypatch):
+        # a pair table over states 0-6 only: most chunks reach 7 and are
+        # walked again by the scalar rule, the rest stay on the table
+        monkeypatch.setattr(simulate, "_WALK_STATES", 7)
+        walked = []
+        scalar_walk = simulate._scalar_walk
+        monkeypatch.setattr(simulate, "_scalar_walk",
+                            lambda s, draws: walked.append(len(draws)) or scalar_walk(s, draws))
+        chunks = sum(-(-check_pinned_chain(key).n_events // simulate._CHUNK)
+                     for key in PINNED_CHAIN)
+        assert 0 < walked.count(simulate._CHUNK) < chunks
+        self.test_growth_path_pinned(monkeypatch)
 
     def test_state_cap(self, monkeypatch):
         monkeypatch.setattr(simulate, "STATE_CAP", 3)
@@ -719,3 +774,14 @@ class TestStreams:
 
     def test_same_key_same_stream(self):
         assert np.array_equal(make_stream(7, 3).random(8), make_stream(7, 3).random(8))
+
+    def test_exponential_draws_pinned(self):
+        # every seeded digest in the suite rests on these bytes; numpy picks a
+        # SIMD path for log1p by CPU, and with its AVX-512 paths disabled
+        # about 7% of the draws move by 1 ulp
+        e = -np.log1p(-make_stream(7).random(2 ** 16))
+        assert hashlib.sha256(e.tobytes()).hexdigest() == (
+            "5d60a4f0e5b8e9c9e50b6dbb83f3df62d9be24ae2cb2637620472475fe7edd1d"), (
+            "-log1p(-u) is not the AVX-512 result the pins were recorded with: numpy "
+            "picks log1p's SIMD path by CPU (numpy.show_runtime() lists the features), so "
+            "every seeded digest, dump pin and validate-full byte check differs here too")
