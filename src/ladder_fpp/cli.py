@@ -72,8 +72,9 @@ def cmd_exact(args) -> int:
     which = [w.strip() for w in args.which.split(",") if w.strip()]
     valid = {"pi0", "tau", "T", "pi_n"}
     bad = set(which) - valid
-    if bad:
-        raise UsageError(f"unknown quantities: {sorted(bad)} (choose from {sorted(valid)})")
+    if bad or not which:
+        named = f"unknown quantities: {sorted(bad)}" if bad else "--which names no quantity"
+        raise UsageError(f"{named} (choose from {sorted(valid)})")
     tol = args.tol
     records = []
     meta = {"tol": tol}

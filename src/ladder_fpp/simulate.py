@@ -649,52 +649,37 @@ class FrontPath:
 def front_of_fpp(record: FppRecord) -> FrontPath:
     """Rebuild F_t = |N^(0)_t - N^(1)_t| and N_t from settled infection times.
 
-    Only infections that raise a level's running maximum move the front;
-    later fill-ins of skipped vertices are ignored.
+    One stable argsort orders the settled vertices by time; ties keep level 0
+    first, then lower x.  A per-level `np.maximum.accumulate` over that order
+    gives each level's running maximum, cur0 and cur1: only infections that
+    raise it move the front, and later fill-ins of skipped vertices are
+    ignored.  The path starts at the first infection after which both levels
+    are infected; every later infection that raises cur0 + cur1 is a front
+    jump to |cur0 - cur1|, and one that raises max(cur0, cur1) is a height
+    increment.
     """
-    t0 = record.infection_times[0][record.settled[0]]
-    x0 = np.nonzero(record.settled[0])[0]
-    t1 = record.infection_times[1][record.settled[1]]
-    x1 = np.nonzero(record.settled[1])[0]
-    times = np.concatenate([t0, t1])
-    xs = np.concatenate([x0, x1])
-    level = np.concatenate([np.zeros(len(x0), np.int8), np.ones(len(x1), np.int8)])
+    level, xs = np.nonzero(record.settled)
+    times = record.infection_times[record.settled]
     order = np.argsort(times, kind="stable")
-
-    cur = [-1, -1]
-    f_times, f_states = [], []
-    h_times, h_vals = [], []
-    start = None
-    init_state = init_height = 0
-    for i in order:
-        t, x, y = float(times[i]), int(xs[i]), int(level[i])
-        if x <= cur[y]:
-            continue
-        prev_n = max(cur)
-        cur[y] = x
-        n_t = max(cur)
-        if start is None:
-            if cur[0] >= 0 and cur[1] >= 0:
-                start = t
-                init_state = abs(cur[0] - cur[1])
-                init_height = n_t
-            continue
-        f_times.append(t)
-        f_states.append(abs(cur[0] - cur[1]))
-        if n_t > prev_n:
-            h_times.append(t)
-            h_vals.append(n_t)
-    if start is None:
+    level, xs = level[order], xs[order]
+    cur0 = np.maximum.accumulate(np.where(level == 0, xs, -1))
+    cur1 = np.maximum.accumulate(np.where(level == 1, xs, -1))
+    s = int(np.searchsorted(np.minimum(cur0, cur1), 0))
+    if s == len(order):
         raise ValueError("record never infected both levels")
+    times, cur0, cur1 = times[order[s:]], cur0[s:], cur1[s:]
+    height = np.maximum(cur0, cur1)
+    jumps = np.flatnonzero(np.diff(cur0 + cur1)) + 1
+    ups = np.flatnonzero(np.diff(height)) + 1
     return FrontPath(
-        start_time=start,
+        start_time=float(times[0]),
         end_time=record.horizon_time,
-        initial_state=init_state,
-        initial_height=init_height,
-        times=np.array(f_times),
-        states=np.array(f_states, dtype=np.int64),
-        height_times=np.array(h_times),
-        heights=np.array(h_vals, dtype=np.int64),
+        initial_state=int(abs(cur0[0] - cur1[0])),
+        initial_height=int(height[0]),
+        times=times[jumps],
+        states=np.abs(cur0[jumps] - cur1[jumps]),
+        height_times=times[ups],
+        heights=height[ups],
     )
 
 

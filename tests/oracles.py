@@ -4,12 +4,18 @@ Everything here is deliberately separate from the package implementation:
 exact-rational Bessel partial sums with alternating-series remainder bounds,
 plain-int recursions for a_n, b_n and Upsilon, an exact-rational solve of
 the truncated balance system, a brute-force shortest-path search over an
-explicit edge list, the event-by-event count of front transitions and the
-front chain's jump rule on one draw.
+explicit edge list, the vertex-by-vertex rebuild of the front from a
+Dijkstra record (it returns the package's `FrontPath`, a plain record), the
+event-by-event count of front transitions and the front chain's jump rule on
+one draw.
 """
 
 from fractions import Fraction
 from math import factorial
+
+import numpy as np
+
+from ladder_fpp.simulate import FrontPath
 
 
 def j_partial(n: int, terms: int) -> Fraction:
@@ -107,6 +113,59 @@ def brute_force_passage_times(edges: dict, sources: list) -> dict:
         if not changed:
             break
     return dist
+
+
+def front_of_fpp_loop(record) -> FrontPath:
+    """`simulate.front_of_fpp` one settled vertex at a time: rebuild
+    F_t = |N^(0)_t - N^(1)_t| and N_t from settled infection times.
+
+    Only infections that raise a level's running maximum move the front;
+    later fill-ins of skipped vertices are ignored.
+    """
+    t0 = record.infection_times[0][record.settled[0]]
+    x0 = np.nonzero(record.settled[0])[0]
+    t1 = record.infection_times[1][record.settled[1]]
+    x1 = np.nonzero(record.settled[1])[0]
+    times = np.concatenate([t0, t1])
+    xs = np.concatenate([x0, x1])
+    level = np.concatenate([np.zeros(len(x0), np.int8), np.ones(len(x1), np.int8)])
+    order = np.argsort(times, kind="stable")
+
+    cur = [-1, -1]
+    f_times, f_states = [], []
+    h_times, h_vals = [], []
+    start = None
+    init_state = init_height = 0
+    for i in order:
+        t, x, y = float(times[i]), int(xs[i]), int(level[i])
+        if x <= cur[y]:
+            continue
+        prev_n = max(cur)
+        cur[y] = x
+        n_t = max(cur)
+        if start is None:
+            if cur[0] >= 0 and cur[1] >= 0:
+                start = t
+                init_state = abs(cur[0] - cur[1])
+                init_height = n_t
+            continue
+        f_times.append(t)
+        f_states.append(abs(cur[0] - cur[1]))
+        if n_t > prev_n:
+            h_times.append(t)
+            h_vals.append(n_t)
+    if start is None:
+        raise ValueError("record never infected both levels")
+    return FrontPath(
+        start_time=start,
+        end_time=record.horizon_time,
+        initial_state=init_state,
+        initial_height=init_height,
+        times=np.array(f_times),
+        states=np.array(f_states, dtype=np.int64),
+        height_times=np.array(h_times),
+        heights=np.array(h_vals, dtype=np.int64),
+    )
 
 
 def transition_stats_loop(path) -> tuple[dict, list]:

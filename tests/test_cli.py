@@ -107,6 +107,13 @@ class TestExact:
     def test_unknown_quantity_usage_error(self, capsys):
         assert_usage_error(["exact", "--which", "bogus"], capsys)
 
+    @pytest.mark.parametrize("which", ["", ",", " , "])
+    def test_empty_which_usage_error(self, which, capsys):
+        run_cli_expecting_exit(["exact", "--which", which], 2)
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("ladder-fpp: error: --which names no quantity "
+                                     "(choose from ['T', 'pi0', 'pi_n', 'tau'])\n")
+
     def test_negative_n_max_usage_error(self, capsys):
         assert_usage_error(["exact", "--which", "pi_n", "--n-max", "-3"], capsys)
 

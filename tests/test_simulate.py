@@ -28,7 +28,12 @@ from ladder_fpp.simulate import (
     simulate_front_chain,
 )
 
-from oracles import brute_force_passage_times, jump_oracle, transition_stats_loop
+from oracles import (
+    brute_force_passage_times,
+    front_of_fpp_loop,
+    jump_oracle,
+    transition_stats_loop,
+)
 
 SEED = 20260808
 
@@ -243,6 +248,40 @@ def synthetic_record(inf: np.ndarray, horizon: float) -> FppRecord:
         rail_weights=np.full((2, size), np.nan),
         rung_weights=np.full(size, np.nan),
     )
+
+
+@st.composite
+def small_records(draw) -> FppRecord:
+    """Synthetic records of up to 12 columns.  Times come from a few round
+    values (exact ties within and across levels) or any float, in any column
+    order (fill-ins behind a level's maximum); "grow" sorts each level's
+    times along x, as a growing infection does, "late" starts level 1 after
+    every level-0 infection, "last" infects level 1 once, tied with the last
+    level-0 infection, and "one" leaves a level uninfected."""
+    width = draw(st.integers(1, 12))
+    cell = st.none() | st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0, 4)
+    inf = np.array([[np.inf if c is None else c
+                     for c in draw(st.lists(cell, min_size=width, max_size=width))]
+                    for _ in range(2)])
+    shape = draw(st.sampled_from(["free", "grow", "late", "last", "one"]))
+    if shape == "grow":
+        inf.sort(axis=1)
+    elif shape == "late":
+        inf[1] += 5.0
+    elif shape == "last":
+        last = inf[0][np.isfinite(inf[0])].max(initial=0.0)
+        inf[1] = np.inf
+        inf[1, draw(st.integers(0, width - 1))] = last
+    elif shape == "one":
+        inf[draw(st.integers(0, 1))] = np.inf
+    return synthetic_record(inf, horizon=draw(st.floats(0, 10)))
+
+
+def front_or_error(rebuild, rec: FppRecord):
+    try:
+        return rebuild(rec)
+    except ValueError as exc:
+        return repr(exc)
 
 
 @pytest.fixture(scope="module")
@@ -733,6 +772,24 @@ class TestFrontOfFpp:
         assert counts == loop_counts and exposure.dtype == np.float64
         assert exposure.tobytes() == np.array(loop_exposure).tobytes()
 
+    @settings(max_examples=400, deadline=None)
+    @given(small_records())
+    def test_matches_loop(self, rec):
+        # every field of the vertex-by-vertex rebuild: values, types, dtypes
+        # and bytes, empty arrays included; or the same ValueError
+        path, loop = front_or_error(front_of_fpp, rec), front_or_error(front_of_fpp_loop, rec)
+        if isinstance(loop, str):
+            assert path == loop
+            return
+        for name, want in vars(loop).items():
+            got = getattr(path, name)
+            assert type(got) is type(want), name
+            if isinstance(want, np.ndarray):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+                assert got.tobytes() == want.tobytes(), name
+            else:
+                assert repr(got) == repr(want), name
+
     def test_never_both_levels(self):
         inf = np.full((2, 5), np.inf)
         inf[0, :4] = [0.0, 1.0, 2.0, 3.0]
@@ -752,16 +809,18 @@ class TestFrontOfFpp:
         assert abs(occ0 - pi0(1e-10).value) <= 0.05
 
     def test_transition_rates_match_generator(self):
+        # the raw front never consults q_row: every jump is in its support,
+        # and each rate out of states 0-3 (10 rates) is within 4 sigma of it,
+        # sigma = sqrt(q / exposure)
         cfg = SimConfig(seed=23, mode="fpp_dijkstra", target_height=20000)
         path = front_of_fpp(simulate_fpp_ladder(cfg))
         counts, exposure = front_transition_stats(path)
-        # state 2: rates 2 -> 1 and 2 -> 3 should be ~2 and ~1 (4 sigma Poisson)
-        row = q_row(2).entries
-        for target in (1, 3, 0):
-            k = counts[2].get(target, 0)
-            rate = k / exposure[2]
-            se = math.sqrt(max(k, 1)) / exposure[2]
-            assert abs(rate - row[target]) <= 4 * se, target
+        for s, row in counts.items():
+            assert all(q_row(s).entries.get(t, 0) > 0 for t in row), s
+        for s in range(4):
+            for t, q in q_row(s).entries.items():
+                rate = counts[s].get(t, 0) / exposure[s]
+                assert abs(rate - q) <= 4 * math.sqrt(q / exposure[s]), (s, t)
         ratio = counts[2][1] / counts[2][3]
         assert 1.5 < ratio < 2.7
 
